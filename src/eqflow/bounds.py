@@ -23,9 +23,9 @@ from scipy.integrate import quad
 
 from .ambient import (AmbientSpace, Rect, radial_measure, radial_measure_inverse,
                       sup_norms)
-from .curve import GraphProfile, diff
-from .geometry import (GeometrySummary, mean_curvature, principal_curvatures,
-                       unit_sphere_volume)
+from .curve import GraphProfile, quadrature
+from .geometry import (GeometrySummary, GraphGrid, graph_terms, mean_curvature,
+                       principal_curvatures, unit_sphere_volume)
 
 # Monitor tolerances.  The dissipation check compares a first-order finite
 # difference of the area against the exact decay integral; it is only
@@ -342,16 +342,10 @@ class ViolationReport:
 def dissipation_integral(space: AmbientSpace, profile: GraphProfile,
                          avg_H: float) -> float:
     """Exact area-decay integral of (avg_H - H)^2 over the hypersurface."""
-    k1, k2 = principal_curvatures(space, profile)
-    H = mean_curvature(k1, k2, space.n)
-    rdot, _ = diff(profile)
-    f = space.f(profile.z)[0]
-    h = space.h(profile.r)[0]
-    speed = np.sqrt(1.0 + (f * rdot) ** 2)
-    elem = speed * f ** (space.n - 1) * h ** (space.n - 1)
-    from .curve import quadrature
+    t = graph_terms(GraphGrid(space, profile), profile.r)
+    _, _, H = t.curvatures()
     return unit_sphere_volume(space.n) * quadrature(
-        (avg_H - H) ** 2 * elem, x=profile.z)
+        (avg_H - H) ** 2 * t.elem, x=profile.z)
 
 
 def run_monitors(space: AmbientSpace, bound_set: BoundSet,
@@ -361,6 +355,8 @@ def run_monitors(space: AmbientSpace, bound_set: BoundSet,
                  dt: float | None = None) -> ViolationReport:
     """Check the current state against every a-priori bound.
 
+    ``summary`` is read for ``area``, ``volume``, ``avg_H`` and the slope
+    array ``v``: a GeometrySummary, or the flow's own state evaluation.
     The radius cap is re-derived from the current area (with the initial
     volume) and the stricter of the frozen and the running cap is used.
     ``prev_*`` and ``dt`` feed the area-monotonicity and dissipation

@@ -4,8 +4,8 @@ Subcommands: ``run`` (integrate a configured flow and write its record),
 ``bounds`` (print the a-priori constants for a configuration),
 ``appendix-b`` (the rolling-curve averaged-curvature benchmark),
 ``verify-curvature`` (sampled check that the curvature components of a
-space form equal its sectional curvature), and ``sweep`` (the benchmark
-across curvature scales, runs launched concurrently).
+space form equal its sectional curvature), and ``sweep`` (the C5
+benchmark across curvature scales).
 
 Exit codes for ``run``: 0 when the flow reaches the time horizon or a
 steady state, 2 on axis contact, 3 on step failure; every subcommand
@@ -18,19 +18,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import ambient, flow, reference_cases
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, load_config
 from .curve import profile_to_csv
-from .bounds import compute_bound_set
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,27 +67,14 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load(config_path: str) -> RunConfig:
-    try:
-        return load_config(config_path)
-    except ConfigError:
-        raise
-    except OSError as exc:
-        raise exc
-
-
 def cmd_run(args) -> int:
-    cfg = _load(args.config)
+    cfg = load_config(args.config)
     space = cfg.build_space()
     initial = cfg.build_initial(space)
     result = flow.run(space, initial, cfg.flow,
                       snapshot_every=cfg.snapshot_every)
 
     out_dir = Path(args.out or cfg.out_dir or ".")
-    failures: dict[str, int] = {}
-    for report in result.violations:
-        for name in report.failures:
-            failures[name] = failures.get(name, 0) + 1
     last = result.record.rows[-1]
     summary = {
         "termination": result.termination,
@@ -102,7 +86,7 @@ def cmd_run(args) -> int:
                   "avgH": last.avgH, "sup_H_dev": last.sup_H_dev,
                   "r_min": last.r_min, "r_max": last.r_max,
                   "vol_drift": last.vol_drift},
-        "monitor_failures": failures,
+        "monitor_failures": result.monitor_failures,
         "dissipation_checked": result.dissipation_checked,
         "dissipation_worst": result.dissipation_worst,
         "bound_set": result.bound_set.to_json_dict(),
@@ -123,17 +107,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = _load(args.config)
+    cfg = load_config(args.config)
     space = cfg.build_space()
-    initial = cfg.build_initial(space)
-    from .geometry import summarize
-    summ = summarize(space, initial)
-    lo = float(np.min(initial.r)) * (1.0 - flow.RECT_MARGIN)
-    hi = float(np.max(initial.r)) * (1.0 + flow.RECT_MARGIN)
-    if space.h_zero is not None:
-        hi = min(hi, math.nextafter(space.h_zero, 0.0))
-    bset = compute_bound_set(space, cfg.slab, summ.volume, summ.area,
-                             lo, hi, float(np.max(summ.v)))
+    bset = flow.initial_bound_set(space, cfg.build_initial(space))
     print(_json_text(bset.to_json_dict()), end="")
     return EXIT_OK
 
@@ -157,7 +133,7 @@ def cmd_appendix_b(args) -> int:
 
 def cmd_verify_curvature(args) -> int:
     if args.config:
-        cfg = _load(args.config)
+        cfg = load_config(args.config)
         space = cfg.build_space()
         z_range = cfg.slab
         if space.h_zero is not None:
@@ -192,13 +168,8 @@ def cmd_verify_curvature(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    lams = (-2.0, -1.5, -1.0, -0.75, -0.5)
-    with ThreadPoolExecutor(max_workers=min(4, len(lams))) as pool:
-        futures = [pool.submit(reference_cases.lambda_sweep, (lam,),
-                               args.samples)
-                   for lam in lams]
-        results = [f.result()[0] for f in futures]
-    text = _json_text({"case": args.case, "samples": args.samples,
+    results = reference_cases.lambda_sweep(samples=args.samples)
+    text = _json_text({"case": "C5", "samples": args.samples,
                        "results": results})
     if args.out:
         out_dir = Path(args.out)
@@ -243,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep",
                           help="benchmark across curvature scales")
-    p_sw.add_argument("--case", choices=("C5",), default="C5")
     p_sw.add_argument("--samples", type=int, default=4000)
     p_sw.add_argument("--out", default=None)
     p_sw.set_defaults(func=cmd_sweep)

@@ -9,11 +9,12 @@ so a config with three mistakes produces three messages, not one.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .ambient import CASES, AmbientSpace, make_space
 from .curve import GraphProfile
-from .flow import AVG_MODES, SCHEMES, DtPolicy, FlowConfig
+from .flow import SCHEMES, DtPolicy, FlowConfig
 from .reference_cases import make_initial
 
 INITIAL_KINDS = ("cylinder", "perturbed", "custom")
@@ -76,7 +77,6 @@ class RunConfig:
             "flow": {
                 "T_max": self.flow.T_max,
                 "scheme": self.flow.scheme,
-                "avg_mode": self.flow.avg_mode,
                 "eps_cmc": self.flow.eps_cmc,
                 "eps_axis": self.flow.eps_axis,
                 "output_every": self.flow.output_every,
@@ -122,8 +122,10 @@ class _Reader:
         val = sub[key]
         if val is None and allow_none:
             return None
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            self.fail(f"{path}.{key}", "must be a number")
+        # abs(val) <= max also rules out NaN, infinities and huge ints
+        if (isinstance(val, bool) or not isinstance(val, (int, float))
+                or not abs(val) <= sys.float_info.max):
+            self.fail(f"{path}.{key}", "must be a finite number")
             return default
         return float(val)
 
@@ -203,12 +205,10 @@ def parse_config(text: str) -> RunConfig:
         else:
             radii = tuple(float(v) for v in raw)
 
-    fl = rd.section(doc, "flow", ("T_max", "scheme", "avg_mode", "eps_cmc",
-                                  "eps_axis", "output_every", "dt_policy"))
+    fl = rd.section(doc, "flow", ("T_max", "scheme", "eps_cmc", "eps_axis",
+                                  "output_every", "dt_policy"))
     T_max = rd.number(fl, "flow", "T_max", default=2.0)
     scheme = rd.choice(fl, "flow", "scheme", SCHEMES, default="imex")
-    avg_mode = rd.choice(fl, "flow", "avg_mode", AVG_MODES,
-                         default="volume_consistent")
     eps_cmc = rd.number(fl, "flow", "eps_cmc", default=1e-5)
     eps_axis = rd.number(fl, "flow", "eps_axis", default=1e-3)
     output_every = rd.integer(fl, "flow", "output_every", default=1, minimum=1)
@@ -225,16 +225,19 @@ def parse_config(text: str) -> RunConfig:
     snapshot_every = rd.integer(out, "output", "snapshot_every", default=0,
                                 minimum=0)
 
-    flow_cfg = None
-    if not rd.errors:
-        try:
-            flow_cfg = FlowConfig(
-                T_max=T_max, scheme=scheme, avg_mode=avg_mode,
-                eps_cmc=eps_cmc, eps_axis=eps_axis,
-                output_every=output_every,
-                dt=DtPolicy(cfl_safety=cfl, dt_max=dt_max, dt_min=dt_min))
-        except ValueError as exc:
-            rd.fail("flow", str(exc))
+    # flow values all have defaults, so these range checks run even after
+    # other errors; each problem they raise starts with the field name
+    dt_policy = DtPolicy()
+    try:
+        dt_policy = DtPolicy(cfl_safety=cfl, dt_max=dt_max, dt_min=dt_min)
+    except ValueError as exc:
+        rd.errors.extend(f"flow.dt_policy.{p}" for p in exc.args)
+    try:
+        flow_cfg = FlowConfig(T_max=T_max, scheme=scheme, eps_cmc=eps_cmc,
+                              eps_axis=eps_axis, output_every=output_every,
+                              dt=dt_policy)
+    except ValueError as exc:
+        rd.errors.extend(f"flow.{p}" for p in exc.args)
 
     cfg = None
     if not rd.errors:

@@ -28,18 +28,23 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .ambient import AmbientSpace, radial_measure
-from .bounds import (BoundSet, ViolationReport, compute_bound_set,
-                     run_monitors)
-from .curve import GraphProfile, diff_radii, quad_weights
-from .geometry import unit_sphere_volume
+from .bounds import BoundSet, compute_bound_set, run_monitors
+from .curve import GraphProfile
+from .geometry import GraphGrid, GraphTerms, graph_terms
 
 STEP_TOL = 1e-6          # per-step error bound for the doubling control
 RECT_MARGIN = 0.01       # radius envelope margin for the frozen bounds
 MAX_RETRIES = 60
 
 SCHEMES = ("imex", "explicit_rk4")
-AVG_MODES = ("volume_consistent", "geometric")
 TERMINATIONS = ("reached_T", "steady", "singular_axis", "step_failure")
+
+
+def _reject(problems: list[str]) -> None:
+    """Raise one ValueError whose args are all the "field: message"
+    problems found, so a parser can report each under its own path."""
+    if problems:
+        raise ValueError(*problems)
 
 
 @dataclass(frozen=True)
@@ -48,61 +53,52 @@ class DtPolicy:
     dt_max: float = 2e-5
     dt_min: float = 1e-12
 
+    def __post_init__(self):
+        problems = []
+        if not 0.0 < self.cfl_safety < math.inf:
+            problems.append("cfl_safety: must be positive and finite")
+        if not 0.0 < self.dt_min <= self.dt_max < math.inf:
+            problems.append("dt_min: need 0 < dt_min <= dt_max < inf")
+        _reject(problems)
+
 
 @dataclass(frozen=True)
 class FlowConfig:
     T_max: float = 2.0
     dt: DtPolicy = field(default_factory=DtPolicy)
     scheme: str = "imex"
-    avg_mode: str = "volume_consistent"
     eps_cmc: float = 1e-5
     eps_axis: float = 1e-3
     output_every: int = 1
 
     def __post_init__(self):
+        problems = []
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.avg_mode not in AVG_MODES:
-            raise ValueError(f"unknown avg_mode {self.avg_mode!r}")
-        if self.T_max <= 0.0:
-            raise ValueError("T_max must be positive")
-        if not 0.0 < self.dt.dt_min <= self.dt.dt_max:
-            raise ValueError("need 0 < dt_min <= dt_max")
+            problems.append(f"scheme: unknown scheme {self.scheme!r}")
+        if not 0.0 < self.T_max < math.inf:
+            problems.append("T_max: must be positive and finite")
+        for name in ("eps_cmc", "eps_axis"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                problems.append(f"{name}: must be non-negative and finite")
         if self.output_every < 1:
-            raise ValueError("output_every must be at least 1")
+            problems.append("output_every: must be at least 1")
+        _reject(problems)
 
 
 class FlowStepError(RuntimeError):
     """A single update produced an invalid state."""
 
 
-class _Grid:
-    """Per-run constants: nodes, warping values on them, weights."""
-
-    def __init__(self, space: AmbientSpace, profile: GraphProfile):
-        self.space = space
-        self.z = profile.z
-        self.dz = profile.dz
-        self.a = profile.a
-        self.b = profile.b
-        self.f, self.fp, _ = space.f(self.z)
-        self.w = quad_weights(len(self.z), self.dz, "trapezoid")
-        self.omega = unit_sphere_volume(space.n)
-
-
 @dataclass
 class _StateEval:
-    """Arrays and scalars of one state; scalars filled by _full_eval."""
+    """Terms, average and area of one state; the rest filled by _full_eval.
+    Has the ``area``, ``volume``, ``avg_H`` and ``v`` run_monitors reads."""
 
     r: np.ndarray
-    rdot: np.ndarray
-    rddot: np.ndarray
-    speed2: np.ndarray
-    speed: np.ndarray
-    local: np.ndarray        # rhs minus the nonlocal term
+    terms: GraphTerms
     avg_H: float
-    H: np.ndarray | None = None
-    area: float = 0.0
+    area: float
+    v: np.ndarray | None = None
     volume: float = 0.0
     sup_dev: float = 0.0
     r_min: float = 0.0
@@ -112,49 +108,33 @@ class _StateEval:
     dissipation: float = 0.0
 
 
-def _light_eval(g: _Grid, r: np.ndarray, avg_mode: str) -> _StateEval:
-    """Arrays plus the driving average; enough to take a step."""
-    n = g.space.n
-    rdot, rddot = diff_radii(r, g.dz)
-    h, hp, _ = g.space.h(r)
-    speed2 = 1.0 + (g.f * rdot) ** 2
-    speed = np.sqrt(speed2)
-    local = (rddot / speed2 + (g.fp / g.f) * (1.0 / speed2 + n) * rdot
-             - (n - 1) * hp / (h * g.f * g.f))
-    gdens = g.f ** (n - 1) * h ** (n - 1)
-    elem = speed * gdens
-    den = float(g.w @ elem)
-    if avg_mode == "volume_consistent":
-        avg = -float(g.w @ (g.f * gdens * local)) / den
-    else:
-        k1 = -(rddot * g.f / speed2
-               + g.fp * rdot * (1.0 / speed2 + 1.0)) / speed
-        k2 = (hp / (h * g.f) - g.fp * rdot) / speed
-        avg = float(g.w @ ((k1 + (n - 1) * k2) * elem)) / den
-    ev = _StateEval(r=r, rdot=rdot, rddot=rddot, speed2=speed2, speed=speed,
-                    local=local, avg_H=avg)
-    ev._h, ev._hp, ev._elem, ev._den = h, hp, elem, den
-    return ev
+def _light_eval(g: GraphGrid, r: np.ndarray) -> _StateEval:
+    """Terms plus the driving average; enough to take a step.
+
+    The average makes the discrete volume derivative sum_i w_i f^n
+    h^(n-1) rhs_i vanish; as the local term is -H |c'|/f node by node, it
+    is also the area-weighted mean of H up to rounding.
+    """
+    t = graph_terms(g, r)
+    den = float(g.w @ t.elem)
+    avg = -float(g.w @ (g.f * t.gdens * t.local)) / den
+    return _StateEval(r=r, terms=t, avg_H=avg, area=g.omega * den)
 
 
-def _full_eval(g: _Grid, r: np.ndarray, avg_mode: str) -> _StateEval:
+def _full_eval(g: GraphGrid, r: np.ndarray) -> _StateEval:
     """Light evaluation plus every recorded scalar."""
     n = g.space.n
-    ev = _light_eval(g, r, avg_mode)
-    h, hp, elem, den = ev._h, ev._hp, ev._elem, ev._den
-    k1 = -(ev.rddot * g.f / ev.speed2
-           + g.fp * ev.rdot * (1.0 / ev.speed2 + 1.0)) / ev.speed
-    k2 = (hp / (h * g.f) - g.fp * ev.rdot) / ev.speed
-    H = k1 + (n - 1) * k2
-    ev.H = H
-    ev.area = g.omega * den
+    ev = _light_eval(g, r)
+    t = ev.terms
+    k1, k2, H = t.curvatures()
+    ev.v = t.speed / g.f
     ev.volume = g.omega * float(g.w @ (g.f ** n * radial_measure(g.space, r)))
     ev.sup_dev = float(np.max(np.abs(H - ev.avg_H)))
     ev.r_min = float(np.min(r))
     ev.r_max = float(np.max(r))
-    ev.v_max = float(np.max(ev.speed / g.f))
+    ev.v_max = float(np.max(ev.v))
     ev.L_max = float(np.max(np.sqrt(k1 ** 2 + (n - 1) * k2 ** 2)))
-    ev.dissipation = g.omega * float(g.w @ ((ev.avg_H - H) ** 2 * elem))
+    ev.dissipation = g.omega * float(g.w @ ((ev.avg_H - H) ** 2 * t.elem))
     return ev
 
 
@@ -164,7 +144,7 @@ def _admissible(space: AmbientSpace, r: np.ndarray) -> bool:
     return space.h_zero is None or bool(np.all(r < space.h_zero))
 
 
-def _imex_update(g: _Grid, ev: _StateEval, dt: float) -> np.ndarray | None:
+def _imex_update(g: GraphGrid, ev: _StateEval, dt: float) -> np.ndarray | None:
     """One implicit-explicit update; None when the result is inadmissible.
 
     The r'' coefficient 1/|c'|^2 is frozen at the pre-step state, so the
@@ -172,9 +152,10 @@ def _imex_update(g: _Grid, ev: _StateEval, dt: float) -> np.ndarray | None:
     r''(a) = 2 (r_1 - r_0)/dz^2 keeps the Neumann walls exact.
     """
     r = ev.r
+    t = ev.terms
     m = len(r)
-    a = dt / (ev.speed2 * g.dz ** 2)
-    b_expl = (ev.local - ev.rddot / ev.speed2 + ev.avg_H * ev.speed / g.f)
+    a = dt / (t.speed2 * g.dz ** 2)
+    b_expl = (t.local - t.rddot / t.speed2 + ev.avg_H * t.speed / g.f)
     ab = np.empty((3, m))
     ab[1] = 1.0 + 2.0 * a
     ab[0, 1:] = -a[:-1]
@@ -189,22 +170,13 @@ def _imex_update(g: _Grid, ev: _StateEval, dt: float) -> np.ndarray | None:
     return r_new
 
 
-def _rhs_arrays(g: _Grid, r: np.ndarray, avg_H: float) -> np.ndarray:
-    n = g.space.n
-    rdot, rddot = diff_radii(r, g.dz)
-    h, hp, _ = g.space.h(r)
-    speed2 = 1.0 + (g.f * rdot) ** 2
-    return (rddot / speed2 + (g.fp / g.f) * (1.0 / speed2 + n) * rdot
-            - (n - 1) * hp / (h * g.f * g.f)
-            + avg_H * np.sqrt(speed2) / g.f)
-
-
-def _rk4_update(g: _Grid, r: np.ndarray, dt: float,
+def _rk4_update(g: GraphGrid, r: np.ndarray, dt: float,
                 avg_H: float) -> np.ndarray | None:
     def slope(radii):
         if not _admissible(g.space, radii):
             return None
-        return _rhs_arrays(g, radii, avg_H)
+        t = graph_terms(g, radii)
+        return t.local + avg_H * t.speed / g.f
 
     k1 = slope(r)
     if k1 is None:
@@ -227,39 +199,32 @@ def _rk4_update(g: _Grid, r: np.ndarray, dt: float,
 def flow_rhs(space: AmbientSpace, profile: GraphProfile,
              avg_H: float) -> np.ndarray:
     """Pointwise time derivative of the radii for a given average."""
-    return _rhs_arrays(_Grid(space, profile), profile.r, avg_H)
+    g = GraphGrid(space, profile)
+    t = graph_terms(g, profile.r)
+    return t.local + avg_H * t.speed / g.f
 
 
-def averaged_for_step(space: AmbientSpace, profile: GraphProfile,
-                      mode: str = "volume_consistent") -> float:
+def averaged_for_step(space: AmbientSpace, profile: GraphProfile) -> float:
     """The average that drives the next step from this state."""
-    if mode not in AVG_MODES:
-        raise ValueError(f"unknown avg_mode {mode!r}")
-    return _light_eval(_Grid(space, profile), profile.r, mode).avg_H
+    return _light_eval(GraphGrid(space, profile), profile.r).avg_H
 
 
-def detect_steady(space: AmbientSpace, profile: GraphProfile, eps: float,
-                  avg_mode: str = "volume_consistent") -> bool:
+def detect_steady(space: AmbientSpace, profile: GraphProfile,
+                  eps: float) -> bool:
     """True when the mean curvature deviates from its average by at most
     eps in sup norm, i.e. the state is a constant-mean-curvature surface
     up to tolerance."""
-    if avg_mode not in AVG_MODES:
-        raise ValueError(f"unknown avg_mode {avg_mode!r}")
-    ev = _full_eval(_Grid(space, profile), profile.r, avg_mode)
-    return ev.sup_dev <= eps
+    return _full_eval(GraphGrid(space, profile), profile.r).sup_dev <= eps
 
 
 def step(space: AmbientSpace, profile: GraphProfile, dt: float,
-         scheme: str = "imex",
-         avg_mode: str = "volume_consistent") -> GraphProfile:
+         scheme: str = "imex") -> GraphProfile:
     """One update of the given scheme; raises FlowStepError when the
     proposed state leaves the admissible radius band."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if avg_mode not in AVG_MODES:
-        raise ValueError(f"unknown avg_mode {avg_mode!r}")
-    g = _Grid(space, profile)
-    ev = _light_eval(g, profile.r, avg_mode)
+    g = GraphGrid(space, profile)
+    ev = _light_eval(g, profile.r)
     if scheme == "imex":
         r_new = _imex_update(g, ev, dt)
     else:
@@ -319,21 +284,12 @@ class RunResult:
     profile: GraphProfile
     record: FlowRecord
     bound_set: BoundSet
-    violations: list[ViolationReport]
     singular_side: str | None = None
     snapshots: list[tuple[int, float, GraphProfile]] = field(default_factory=list)
+    # failing records per monitor; monitors that never failed are absent
+    monitor_failures: dict[str, int] = field(default_factory=dict)
     dissipation_worst: float = 0.0
     dissipation_checked: int = 0
-
-
-class _MonitorView:
-    """The summary fields run_monitors reads, taken from a state eval."""
-
-    def __init__(self, g: _Grid, ev: _StateEval):
-        self.area = ev.area
-        self.volume = ev.volume
-        self.avg_H = ev.avg_H
-        self.v = ev.speed / g.f
 
 
 def _freeze_bounds(space, slab, volume0, area0, r_lo, r_hi, max_v0) -> BoundSet:
@@ -342,6 +298,17 @@ def _freeze_bounds(space, slab, volume0, area0, r_lo, r_hi, max_v0) -> BoundSet:
     if space.h_zero is not None:
         hi = min(hi, math.nextafter(space.h_zero, 0.0))
     return compute_bound_set(space, slab, volume0, area0, lo, hi, max_v0)
+
+
+def _initial_bounds(g: GraphGrid, ev: _StateEval) -> BoundSet:
+    return _freeze_bounds(g.space, (g.a, g.b), ev.volume, ev.area,
+                          ev.r_min, ev.r_max, ev.v_max)
+
+
+def initial_bound_set(space: AmbientSpace, initial: GraphProfile) -> BoundSet:
+    """The bound set :func:`run` freezes from this initial state."""
+    g = GraphGrid(space, initial)
+    return _initial_bounds(g, _full_eval(g, initial.r))
 
 
 def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
@@ -355,24 +322,22 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
     ``step_failure`` (no admissible step above dt_min).
 
     The recorded ``avgH`` column is the average that drives the step from
-    that state under the configured mode.  Monitors run at every recorded
-    state; the frozen bound set is re-derived (with fresh 1% margins and
-    the initial area) whenever the running radius envelope leaves the
-    margined rectangle used to freeze it.
+    that state.  Monitors run at every recorded state; the frozen bound
+    set is re-derived (with fresh 1% margins and the initial area)
+    whenever the running radius envelope leaves the margined rectangle
+    used to freeze it.
     """
-    g = _Grid(space, initial)
+    g = GraphGrid(space, initial)
     slab = (initial.a, initial.b)
-    ev = _full_eval(g, initial.r, config.avg_mode)
+    ev = _full_eval(g, initial.r)
     volume0, area0 = ev.volume, ev.area
     run_lo, run_hi = ev.r_min, ev.r_max
-    bounds_now = _freeze_bounds(space, slab, volume0, area0,
-                                run_lo, run_hi, ev.v_max)
+    bounds_now = _initial_bounds(g, ev)
 
     record = FlowRecord()
-    violations: list[ViolationReport] = []
     result = RunResult(termination="reached_T", t_final=0.0, steps=0,
-                       profile=initial, record=record, bound_set=bounds_now,
-                       violations=violations)
+                       profile=initial, record=record, bound_set=bounds_now)
+    failures = result.monitor_failures
 
     t = 0.0
     steps = 0
@@ -382,11 +347,12 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
 
     def emit(row_dt: float) -> None:
         report = run_monitors(
-            space, bounds_now, prof, _MonitorView(g, ev), t,
+            space, bounds_now, prof, ev, t,
             prev_area=None if prev is None else prev[0],
             prev_dissipation=None if prev is None else prev[1],
             dt=None if prev is None else prev[2])
-        violations.append(report)
+        for name in report.failures:
+            failures[name] = failures.get(name, 0) + 1
         if "dissipation" in report.checks:
             result.dissipation_checked += 1
             result.dissipation_worst = max(
@@ -421,7 +387,7 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
 
         if config.scheme == "explicit_rk4":
             dt_next = config.dt.cfl_safety * g.dz ** 2 \
-                * float(np.min(ev.speed2))
+                * float(np.min(ev.terms.speed2))
             dt_next = min(dt_next, config.dt.dt_max)
         dt = min(dt_next, config.T_max - t)
 
@@ -431,7 +397,7 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
                 full = _imex_update(g, ev, dt)
                 half = _imex_update(g, ev, dt / 2.0)
                 if half is not None:
-                    ev_mid = _light_eval(g, half, config.avg_mode)
+                    ev_mid = _light_eval(g, half)
                     half = _imex_update(g, ev_mid, dt / 2.0)
                 if full is None or half is None:
                     err = math.inf
@@ -464,7 +430,7 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
         prev = (ev.area, ev.dissipation, dt)
         t += dt
         steps += 1
-        ev = _full_eval(g, accepted, config.avg_mode)
+        ev = _full_eval(g, accepted)
         prof = initial.with_radii(accepted)
 
         if run_lo > ev.r_min or run_hi < ev.r_max:

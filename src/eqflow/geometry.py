@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import AmbientSpace, radial_measure
-from .curve import GraphProfile, ParamCurve, curve_derivatives, diff, quadrature
+from .curve import (GraphProfile, ParamCurve, curve_derivatives, diff,
+                    diff_radii, quad_weights, quadrature)
 
 
 def unit_sphere_volume(n: int) -> float:
@@ -68,16 +69,75 @@ def weingarten_norm(k1: np.ndarray, k2: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(k1 * k1 + (n - 1) * k2 * k2)
 
 
+class GraphGrid:
+    """Constants of a uniform z grid: nodes, warping values on them,
+    trapezoid weights and the unit-sphere volume."""
+
+    def __init__(self, space: AmbientSpace, profile: GraphProfile):
+        self.space = space
+        self.z = profile.z
+        self.dz = profile.dz
+        self.a = profile.a
+        self.b = profile.b
+        self.f, self.fp, _ = space.f(self.z)
+        self.w = quad_weights(len(self.z), self.dz, "trapezoid")
+        self.omega = unit_sphere_volume(space.n)
+
+
+@dataclass(frozen=True)
+class GraphTerms:
+    """Per-node terms of a graph state r(z) on a uniform grid.
+
+    ``speed2`` and ``speed`` are |c'|^2 = 1 + (f r')^2 and |c'|; ``gdens``
+    is f^(n-1) h^(n-1) and ``elem = speed * gdens`` the area element
+    against dz without the unit-sphere factor.  ``local`` is the flow's
+    right-hand side without its nonlocal term, which equals -H |c'|/f.
+    """
+
+    grid: GraphGrid
+    rdot: np.ndarray
+    rddot: np.ndarray
+    speed2: np.ndarray
+    speed: np.ndarray
+    h: np.ndarray
+    hp: np.ndarray
+    gdens: np.ndarray
+    elem: np.ndarray
+    local: np.ndarray
+
+    def curvatures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(k1, k2, H) at every node."""
+        f, fp = self.grid.f, self.grid.fp
+        k1 = -(self.rddot * f / self.speed2
+               + fp * self.rdot * (1.0 / self.speed2 + 1.0)) / self.speed
+        k2 = (self.hp / (self.h * f) - fp * self.rdot) / self.speed
+        return k1, k2, k1 + (self.grid.space.n - 1) * k2
+
+
+def graph_terms(grid: GraphGrid, r: np.ndarray) -> GraphTerms:
+    """The terms of the radii ``r`` on the grid."""
+    f, fp, n = grid.f, grid.fp, grid.space.n
+    rdot, rddot = diff_radii(r, grid.dz)
+    h, hp, _ = grid.space.h(r)
+    speed2 = 1.0 + (f * rdot) ** 2
+    speed = np.sqrt(speed2)
+    local = (rddot / speed2 + (fp / f) * (1.0 / speed2 + n) * rdot
+             - (n - 1) * hp / (h * f * f))
+    gdens = f ** (n - 1) * h ** (n - 1)
+    return GraphTerms(grid=grid, rdot=rdot, rddot=rddot, speed2=speed2,
+                      speed=speed, h=h, hp=hp, gdens=gdens,
+                      elem=speed * gdens, local=local)
+
+
 def graph_slope(space: AmbientSpace, profile: GraphProfile):
     """Graph quantities (u, v, speed): u = f/speed, v = speed/f.
 
     v >= 1/f always, with equality exactly at critical points of r; finite
     v is the graph condition.
     """
-    rdot, _ = diff(profile)
-    f = space.f(profile.z)[0]
-    speed = np.sqrt(1.0 + (f * rdot) ** 2)
-    return f / speed, speed / f, speed
+    grid = GraphGrid(space, profile)
+    speed = graph_terms(grid, profile.r).speed
+    return grid.f / speed, speed / grid.f, speed
 
 
 def _area_element(space: AmbientSpace, curve):

@@ -139,6 +139,20 @@ def test_bounds_reports_frozen_set(tmp_path, capsys):
     assert bset["avg_H_cap"] == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("space", [{"case": "C1"},
+                                   {"case": "C6", "lambda": 1.0}])
+def test_bounds_prints_the_set_a_run_freezes(tmp_path, capsys, space):
+    doc = dict(SHORT_DOC, space=space, slab={"a": -0.5, "b": 0.5})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["bounds", "--config", cfg]) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    summary = json.loads((out / "summary.json").read_text())
+    assert printed == summary["bound_set"]
+
+
 # ---------------------------------------------------------------- appendix-b
 
 

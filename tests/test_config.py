@@ -25,7 +25,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.slab == (0.0, 1.0)
     assert cfg.N == 400
     assert cfg.flow.scheme == "imex"
-    assert cfg.flow.avg_mode == "volume_consistent"
     assert cfg.flow.eps_cmc == 1e-5
     assert cfg.flow.eps_axis == 1e-3
     assert cfg.flow.T_max == 2.0
@@ -51,14 +50,16 @@ def test_every_structural_error_is_collected():
         "space": {"case": "C9"},
         "slab": {"a": 1.0, "b": 0.0},
         "grid": {"N": 4},
-        "flow": {"scheme": "leapfrog"},
+        "flow": {"scheme": "leapfrog", "eps_cmc": -1.0,
+                 "dt_policy": {"cfl_safety": 0.0}},
         "banana": {},
     }
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     joined = "\n".join(err.value.errors)
-    assert len(err.value.errors) >= 5
-    for needle in ("space.case", "slab", "grid.N", "flow.scheme", "banana"):
+    assert len(err.value.errors) >= 7
+    for needle in ("space.case", "slab", "grid.N", "flow.scheme", "banana",
+                   "flow.eps_cmc", "flow.dt_policy.cfl_safety"):
         assert needle in joined
 
 
@@ -101,6 +102,26 @@ def test_dt_policy_validation_propagates():
     assert any("dt_min" in msg for msg in err.value.errors)
 
 
+@pytest.mark.parametrize("section,key,value,path", [
+    ("flow", "T_max", "NaN", "flow.T_max"),
+    ("flow", "eps_cmc", "-1", "flow.eps_cmc"),
+    ("flow", "eps_axis", "NaN", "flow.eps_axis"),
+    ("flow.dt_policy", "cfl_safety", "-3", "flow.dt_policy.cfl_safety"),
+    ("slab", "b", "Infinity", "slab.b"),
+    ("flow", "avg_mode", '"geometric"', "flow.avg_mode"),
+])
+def test_bad_value_names_its_dotted_path(section, key, value, path):
+    # JSON text, so that NaN and Infinity arrive the way a file gives them
+    doc = json.loads(MINIMAL)
+    sub = doc
+    for part in section.split("."):
+        sub = sub.setdefault(part, {})
+    sub[key] = "@"
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc).replace('"@"', value))
+    assert [msg.split(":")[0] for msg in err.value.errors] == [path]
+
+
 def test_invalid_json_reports_cleanly():
     with pytest.raises(ConfigError) as err:
         parse_config("{not json")
@@ -116,8 +137,7 @@ def test_round_trip_is_identity():
         "grid": {"N": 120},
         "initial": {"kind": "perturbed", "radius": 0.8,
                     "amplitude": 0.1, "mode": 2},
-        "flow": {"T_max": 0.25, "scheme": "explicit_rk4",
-                 "avg_mode": "geometric", "eps_cmc": 1e-6,
+        "flow": {"T_max": 0.25, "scheme": "explicit_rk4", "eps_cmc": 1e-6,
                  "dt_policy": {"dt_max": 1e-5}},
         "output": {"dir": "out", "snapshot_every": 10},
     }

@@ -7,8 +7,8 @@ import pytest
 
 from eqflow.ambient import make_space
 from eqflow.curve import GraphProfile, diff, quad_weights
-from eqflow.flow import (AVG_MODES, SCHEMES, TERMINATIONS, DtPolicy,
-                         FlowConfig, FlowRecord, FlowStepError, RecordRow,
+from eqflow.flow import (SCHEMES, TERMINATIONS, DtPolicy, FlowConfig,
+                         FlowRecord, FlowStepError, RecordRow,
                          averaged_for_step, detect_steady, flow_rhs, run,
                          step)
 from eqflow.geometry import mean_curvature, principal_curvatures
@@ -56,11 +56,20 @@ def test_rhs_wall_node_closed_form():
     assert got == pytest.approx(want, rel=1e-14)
 
 
+HYPERBOLIC_N3 = make_space("C3", lam=-1.0, lam_h=-2.0, n=3)
+SPHERICAL = make_space("C6", lam=1.0)
+
+
 @pytest.mark.parametrize("space,prof", [
     (FLAT, perturbed()),
     (SPHERE_BAND, make_initial(make_space("C2"), (0.5, 1.5), 80,
                                kind="perturbed", radius=1.2,
                                amplitude=0.2, mode=2)),
+    (HYPERBOLIC_N3, make_initial(HYPERBOLIC_N3, (-0.5, 0.5), 120,
+                                 kind="perturbed", radius=1.0,
+                                 amplitude=0.1, mode=1)),
+    (SPHERICAL, make_initial(SPHERICAL, (-0.5, 0.5), 120, kind="perturbed",
+                             radius=1.0, amplitude=0.1, mode=2)),
 ])
 def test_rhs_equals_deviation_times_gradient_factor(space, prof):
     # the update is (avg - H) |c'| / f with discrete derivatives
@@ -80,37 +89,27 @@ def test_rhs_equals_deviation_times_gradient_factor(space, prof):
 
 def test_average_is_one_on_unit_cylinder_both_modes():
     prof = cylinder()
-    for mode in AVG_MODES:
-        assert averaged_for_step(FLAT, prof, mode) == pytest.approx(
-            1.0, abs=1e-13)
+    assert averaged_for_step(FLAT, prof) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_average_is_zero_on_equatorial_band_both_modes():
     prof = make_initial(SPHERE_BAND, (0.5, 1.5), 100, kind="cylinder",
                         radius=math.pi / 2.0)
-    for mode in AVG_MODES:
-        assert abs(averaged_for_step(SPHERE_BAND, prof, mode)) <= 1e-13
+    assert abs(averaged_for_step(SPHERE_BAND, prof)) <= 1e-13
 
 
-def test_average_modes_coincide_for_graph_states():
+def test_geometric_mode_matches_direct_average_route():
     # the volume-consistent integrand equals -H |c'|/f pointwise, so the
-    # two weighted means can differ only in rounding
+    # flow's average is the area-weighted mean of H up to rounding
+    from eqflow.geometry import averaged_H_direct
     exp_space = make_space("C5", lam=-1.0, n=2)
     states = [(FLAT, perturbed()),
               (exp_space, make_initial(exp_space, (0.0, 1.0), 200,
                                        kind="perturbed", radius=1.0,
                                        amplitude=0.1))]
     for space, prof in states:
-        vc = averaged_for_step(space, prof, "volume_consistent")
-        geo = averaged_for_step(space, prof, "geometric")
-        assert vc == pytest.approx(geo, rel=1e-12)
-
-
-def test_geometric_mode_matches_direct_average_route():
-    from eqflow.geometry import averaged_H_direct
-    prof = perturbed()
-    geo = averaged_for_step(FLAT, prof, "geometric")
-    assert geo == pytest.approx(averaged_H_direct(FLAT, prof), rel=1e-12)
+        assert averaged_for_step(space, prof) == pytest.approx(
+            averaged_H_direct(space, prof), rel=1e-12)
 
 
 def test_volume_consistent_average_kills_discrete_volume_derivative():
@@ -120,7 +119,7 @@ def test_volume_consistent_average_kills_discrete_volume_derivative():
                          make_initial(make_space("C2"), (0.5, 1.5), 90,
                                       kind="perturbed", radius=1.0,
                                       amplitude=0.3, mode=1))]:
-        avg = averaged_for_step(space, prof, "volume_consistent")
+        avg = averaged_for_step(space, prof)
         rhs = flow_rhs(space, prof, avg)
         f, _, _ = space.f(prof.z)
         h, _, _ = space.h(prof.r)
@@ -129,14 +128,6 @@ def test_volume_consistent_average_kills_discrete_volume_derivative():
         total = float(w @ (dens * rhs))
         scale = float(w @ (dens * np.abs(rhs)))
         assert abs(total) <= 1e-13 * scale
-
-
-def test_unknown_average_mode_rejected():
-    prof = cylinder()
-    with pytest.raises(ValueError):
-        averaged_for_step(FLAT, prof, "arithmetic")
-    with pytest.raises(ValueError):
-        detect_steady(FLAT, prof, 1e-5, avg_mode="arithmetic")
 
 
 # ---------------------------------------------------------------- steady test
@@ -190,8 +181,6 @@ def test_step_rejects_bad_scheme_and_mode():
     prof = cylinder()
     with pytest.raises(ValueError):
         step(FLAT, prof, 1e-6, scheme="crank_nicolson")
-    with pytest.raises(ValueError):
-        step(FLAT, prof, 1e-6, avg_mode="arithmetic")
 
 
 def test_step_raises_when_state_leaves_band():
@@ -233,9 +222,7 @@ def test_short_run_record_structure():
     assert np.all(np.diff(area) <= 1e-12)
     drift = res.record.column("vol_drift")
     assert np.max(np.abs(drift)) <= 1e-8
-    assert len(res.violations) == len(res.record.rows)
-    for report in res.violations:
-        assert report.failures == []
+    assert res.monitor_failures == {}
     for name in ("viol_r2", "viol_h2", "viol_vbound", "viol_area"):
         assert np.all(res.record.column(name) == 0)
 
@@ -282,19 +269,9 @@ def test_run_reports_step_failure_when_dt_is_pinned_too_large():
     assert res.termination == "step_failure"
 
 
-def test_run_geometric_mode_also_flows():
-    cfg = quick_config(avg_mode="geometric")
-    res = run(FLAT, perturbed(), cfg)
-    assert res.termination == "reached_T"
-    assert res.steps >= 5
-    assert np.max(np.abs(res.record.column("vol_drift"))) <= 1e-6
-
-
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(scheme="leapfrog")
-    with pytest.raises(ValueError):
-        FlowConfig(avg_mode="median")
     with pytest.raises(ValueError):
         FlowConfig(T_max=0.0)
     with pytest.raises(ValueError):
