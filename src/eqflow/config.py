@@ -205,17 +205,20 @@ def parse_config(text: str) -> RunConfig:
         else:
             radii = tuple(float(v) for v in raw)
 
+    flow_d, dt_d = FlowConfig(), DtPolicy()
     fl = rd.section(doc, "flow", ("T_max", "scheme", "eps_cmc", "eps_axis",
                                   "output_every", "dt_policy"))
-    T_max = rd.number(fl, "flow", "T_max", default=2.0)
-    scheme = rd.choice(fl, "flow", "scheme", SCHEMES, default="imex")
-    eps_cmc = rd.number(fl, "flow", "eps_cmc", default=1e-5)
-    eps_axis = rd.number(fl, "flow", "eps_axis", default=1e-3)
-    output_every = rd.integer(fl, "flow", "output_every", default=1, minimum=1)
+    T_max = rd.number(fl, "flow", "T_max", default=flow_d.T_max)
+    scheme = rd.choice(fl, "flow", "scheme", SCHEMES, default=flow_d.scheme)
+    eps_cmc = rd.number(fl, "flow", "eps_cmc", default=flow_d.eps_cmc)
+    eps_axis = rd.number(fl, "flow", "eps_axis", default=flow_d.eps_axis)
+    output_every = rd.integer(fl, "flow", "output_every",
+                              default=flow_d.output_every, minimum=1)
     dp = rd.section(fl, "flow.dt_policy", ("cfl_safety", "dt_max", "dt_min"))
-    cfl = rd.number(dp, "flow.dt_policy", "cfl_safety", default=0.5)
-    dt_max = rd.number(dp, "flow.dt_policy", "dt_max", default=2e-5)
-    dt_min = rd.number(dp, "flow.dt_policy", "dt_min", default=1e-12)
+    cfl = rd.number(dp, "flow.dt_policy", "cfl_safety",
+                    default=dt_d.cfl_safety)
+    dt_max = rd.number(dp, "flow.dt_policy", "dt_max", default=dt_d.dt_max)
+    dt_min = rd.number(dp, "flow.dt_policy", "dt_min", default=dt_d.dt_min)
 
     out = rd.section(doc, "output", ("dir", "snapshot_every"))
     out_dir = out.get("dir")
@@ -227,7 +230,7 @@ def parse_config(text: str) -> RunConfig:
 
     # flow values all have defaults, so these range checks run even after
     # other errors; each problem they raise starts with the field name
-    dt_policy = DtPolicy()
+    dt_policy = dt_d
     try:
         dt_policy = DtPolicy(cfl_safety=cfl, dt_max=dt_max, dt_min=dt_min)
     except ValueError as exc:

@@ -9,7 +9,7 @@ it exists for static geometry of curves that are not graphs over z.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson, trapezoid

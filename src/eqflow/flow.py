@@ -6,14 +6,20 @@ which for graphs is the scalar equation
     dr/dt = r'' / |c'|^2 + (f'/f) (1/|c'|^2 + n) r'
             - (n-1) h' / (h f^2) + avg_H |c'| / f,
 
-with |c'|^2 = 1 + (f r')^2 and Neumann walls r'(a) = r'(b) = 0.  The
-nonlocal average is evaluated once per step from the pre-step state.
+with |c'|^2 = 1 + (f r')^2 and Neumann walls r'(a) = r'(b) = 0.  In the
+continuous flow the average is the Lagrange multiplier that holds the
+enclosed volume fixed.
 
 The default scheme treats the second-derivative term implicitly with its
 coefficient frozen (a tridiagonal solve per step) and everything else
-explicitly; step size is controlled by step doubling against a fixed
-per-step tolerance.  An explicit Runge-Kutta alternative under a
-parabolic step restriction is kept for cross checks.
+explicitly.  The update is affine in the average, so each step solves
+for two right-hand sides and picks the multiplier by Newton so that the
+discrete volume of the new state equals the run's initial volume to
+rounding; the state's own average is the Newton start.  Step size is
+controlled by step doubling against a fixed per-step tolerance, under a
+cap at the largest step the dissipation monitor checks.  An explicit
+Runge-Kutta alternative under a parabolic step restriction, driven by
+the pre-step average and not projected, is kept for cross checks.
 
 The inner loop works on bare radius arrays; profile objects are built
 once per accepted step for records and monitors.
@@ -25,16 +31,21 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .ambient import AmbientSpace, radial_measure
-from .bounds import BoundSet, compute_bound_set, run_monitors
+from .bounds import MONITOR_DT_MAX, BoundSet, compute_bound_set, run_monitors
 from .curve import GraphProfile
 from .geometry import GraphGrid, GraphTerms, graph_terms
 
 STEP_TOL = 1e-6          # per-step error bound for the doubling control
 RECT_MARGIN = 0.01       # radius envelope margin for the frozen bounds
 MAX_RETRIES = 60
+# Newton on the volume multiplier: at most NEWTON_MAX trial states, done
+# when the volume gap is within NEWTON_RTOL of the target (rounding moves
+# the gap by about one ulp, so a tighter stop may never be met)
+NEWTON_MAX = 6
+NEWTON_RTOL = 1e-15
 
 SCHEMES = ("imex", "explicit_rk4")
 TERMINATIONS = ("reached_T", "steady", "singular_axis", "step_failure")
@@ -50,7 +61,7 @@ def _reject(problems: list[str]) -> None:
 @dataclass(frozen=True)
 class DtPolicy:
     cfl_safety: float = 0.5
-    dt_max: float = 2e-5
+    dt_max: float = MONITOR_DT_MAX
     dt_min: float = 1e-12
 
     def __post_init__(self):
@@ -109,7 +120,7 @@ class _StateEval:
 
 
 def _light_eval(g: GraphGrid, r: np.ndarray) -> _StateEval:
-    """Terms plus the driving average; enough to take a step.
+    """Terms plus the state's average; enough to take a step.
 
     The average makes the discrete volume derivative sum_i w_i f^n
     h^(n-1) rhs_i vanish; as the local term is -H |c'|/f node by node, it
@@ -128,7 +139,7 @@ def _full_eval(g: GraphGrid, r: np.ndarray) -> _StateEval:
     t = ev.terms
     k1, k2, H = t.curvatures()
     ev.v = t.speed / g.f
-    ev.volume = g.omega * float(g.w @ (g.f ** n * radial_measure(g.space, r)))
+    ev.volume = g.omega * _volume_measure(g, r)
     ev.sup_dev = float(np.max(np.abs(H - ev.avg_H)))
     ev.r_min = float(np.min(r))
     ev.r_max = float(np.max(r))
@@ -144,30 +155,51 @@ def _admissible(space: AmbientSpace, r: np.ndarray) -> bool:
     return space.h_zero is None or bool(np.all(r < space.h_zero))
 
 
-def _imex_update(g: GraphGrid, ev: _StateEval, dt: float) -> np.ndarray | None:
-    """One implicit-explicit update; None when the result is inadmissible.
+def _volume_measure(g: GraphGrid, r: np.ndarray) -> float:
+    """The discrete enclosed volume of ``r`` without the factor omega."""
+    return float(g.vol_w @ radial_measure(g.space, r))
+
+
+def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
+                 target: float) -> np.ndarray | None:
+    """One implicit-explicit update whose discrete volume measure
+    (:func:`_volume_measure`) is ``target``; None when Newton does not
+    converge or a trial state is inadmissible.
 
     The r'' coefficient 1/|c'|^2 is frozen at the pre-step state, so the
     implicit part is a tridiagonal solve; the ghost closure
-    r''(a) = 2 (r_1 - r_0)/dz^2 keeps the Neumann walls exact.
+    r''(a) = 2 (r_1 - r_0)/dz^2 keeps the Neumann walls exact.  The
+    average enters only the explicit part as lam |c'|/f, so one solve
+    with two right-hand sides gives r_new = p + lam q for every lam, and
+    lam is the root of sum w f^n R(p + lam q) = target, with derivative
+    sum w f^n h^(n-1) q, found by Newton from the state's average.
     """
-    r = ev.r
     t = ev.terms
-    m = len(r)
     a = dt / (t.speed2 * g.dz ** 2)
-    b_expl = (t.local - t.rddot / t.speed2 + ev.avg_H * t.speed / g.f)
-    ab = np.empty((3, m))
-    ab[1] = 1.0 + 2.0 * a
-    ab[0, 1:] = -a[:-1]
-    ab[2, :-1] = -a[1:]
-    ab[0, 1] = -2.0 * a[0]
-    ab[2, m - 2] = -2.0 * a[m - 1]
-    r_new = solve_banded((1, 1), ab, r + dt * b_expl,
-                         overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
-    if not _admissible(g.space, r_new):
+    sub = -a[1:]
+    sup = -a[:-1]
+    sub[-1] *= 2.0
+    sup[0] *= 2.0
+    rhs = np.empty((len(a), 2), order="F")
+    rhs[:, 0] = ev.r + dt * (t.local - t.rddot / t.speed2)
+    rhs[:, 1] = dt * t.speed / g.f
+    *_, sol, info = dgtsv(sub, 1.0 + 2.0 * a, sup, rhs, overwrite_dl=True,
+                          overwrite_d=True, overwrite_du=True,
+                          overwrite_b=True)
+    if info != 0:
         return None
-    return r_new
+    p, q = sol[:, 0], sol[:, 1]
+    space, n = g.space, g.space.n
+    lam = ev.avg_H
+    for _ in range(NEWTON_MAX):
+        r_new = p + lam * q
+        if not _admissible(space, r_new):
+            return None
+        gap = _volume_measure(g, r_new) - target
+        if abs(gap) <= NEWTON_RTOL * target:
+            return r_new
+        lam -= gap / float(g.vol_w @ (space.h(r_new)[0] ** (n - 1) * q))
+    return None
 
 
 def _rk4_update(g: GraphGrid, r: np.ndarray, dt: float,
@@ -205,7 +237,8 @@ def flow_rhs(space: AmbientSpace, profile: GraphProfile,
 
 
 def averaged_for_step(space: AmbientSpace, profile: GraphProfile) -> float:
-    """The average that drives the next step from this state."""
+    """The state's average: the Newton start of the volume multiplier of
+    an IMEX step from this state, and the average driving an RK4 step."""
     return _light_eval(GraphGrid(space, profile), profile.r).avg_H
 
 
@@ -220,13 +253,16 @@ def detect_steady(space: AmbientSpace, profile: GraphProfile,
 def step(space: AmbientSpace, profile: GraphProfile, dt: float,
          scheme: str = "imex") -> GraphProfile:
     """One update of the given scheme; raises FlowStepError when the
-    proposed state leaves the admissible radius band."""
+    proposed state leaves the admissible radius band.  The IMEX update
+    keeps the discrete volume of ``profile`` to rounding (and raises
+    FlowStepError when its multiplier is not found); the RK4 update is
+    driven by the pre-step average."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     g = GraphGrid(space, profile)
     ev = _light_eval(g, profile.r)
     if scheme == "imex":
-        r_new = _imex_update(g, ev, dt)
+        r_new = _imex_update(g, ev, dt, _volume_measure(g, profile.r))
     else:
         r_new = _rk4_update(g, profile.r, dt, ev.avg_H)
     if r_new is None:
@@ -321,16 +357,22 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
     eps_axis of the axis, or max r within eps_axis of the far axis), and
     ``step_failure`` (no admissible step above dt_min).
 
-    The recorded ``avgH`` column is the average that drives the step from
-    that state.  Monitors run at every recorded state; the frozen bound
-    set is re-derived (with fresh 1% margins and the initial area)
-    whenever the running radius envelope leaves the margined rectangle
-    used to freeze it.
+    Every IMEX step conserves the discrete volume of the initial state to
+    rounding: its multiplier is solved for per update and not recorded.
+    The recorded ``avgH`` column is the state's own average, which is
+    also the Newton start of the step from that state and, for RK4, the
+    average that drives it.
+
+    Monitors run at every recorded state; the frozen bound set is
+    re-derived (with fresh 1% margins and the initial area) whenever the
+    running radius envelope leaves the margined rectangle used to freeze
+    it.
     """
     g = GraphGrid(space, initial)
     slab = (initial.a, initial.b)
     ev = _full_eval(g, initial.r)
     volume0, area0 = ev.volume, ev.area
+    target = volume0 / g.omega
     run_lo, run_hi = ev.r_min, ev.r_max
     bounds_now = _initial_bounds(g, ev)
 
@@ -394,11 +436,11 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
         accepted = None
         for _ in range(MAX_RETRIES):
             if config.scheme == "imex":
-                full = _imex_update(g, ev, dt)
-                half = _imex_update(g, ev, dt / 2.0)
+                full = _imex_update(g, ev, dt, target)
+                half = _imex_update(g, ev, dt / 2.0, target)
                 if half is not None:
                     ev_mid = _light_eval(g, half)
-                    half = _imex_update(g, ev_mid, dt / 2.0)
+                    half = _imex_update(g, ev_mid, dt / 2.0, target)
                 if full is None or half is None:
                     err = math.inf
                 else:

@@ -71,7 +71,8 @@ def weingarten_norm(k1: np.ndarray, k2: np.ndarray, n: int) -> np.ndarray:
 
 class GraphGrid:
     """Constants of a uniform z grid: nodes, warping values on them,
-    trapezoid weights and the unit-sphere volume."""
+    trapezoid weights, the volume weights w f^n (the enclosed volume is
+    ``omega * vol_w @ radial_measure(r)``) and the unit-sphere volume."""
 
     def __init__(self, space: AmbientSpace, profile: GraphProfile):
         self.space = space
@@ -81,6 +82,7 @@ class GraphGrid:
         self.b = profile.b
         self.f, self.fp, _ = space.f(self.z)
         self.w = quad_weights(len(self.z), self.dz, "trapezoid")
+        self.vol_w = self.w * self.f ** space.n
         self.omega = unit_sphere_volume(space.n)
 
 

@@ -3,7 +3,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from eqflow.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SINGULAR, main)

@@ -1,0 +1,51 @@
+"""Every name the package and the tests import is used.
+
+A static scan of the syntax tree: a name bound by ``import`` or ``from
+... import`` must appear somewhere else in the module, as a name, as the
+root of an attribute chain, or in ``__all__``.  ``__future__`` imports
+and ``import x as x`` re-exports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted([*(ROOT / "src" / "eqflow").glob("*.py"),
+                *(ROOT / "tests").glob("*.py")])
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name == "*" or alias.asname == alias.name:
+                    continue
+                bound = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(bound, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_scan_finds_an_unused_import():
+    assert unused_imports("import os\nimport sys\nsys.exit()\n") \
+        == ["line 1: os"]
+    assert unused_imports("from a import b as c\nc.d\n") == []
+    assert unused_imports("from __future__ import annotations\n") == []
+    assert unused_imports("from .m import x\n__all__ = ['x']\n") == []
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
