@@ -255,13 +255,24 @@ def curvature_components(space: AmbientSpace, z, r) -> CurvatureComponents:
     return CurvatureComponents(axis, radial, sphere)
 
 
+def z_extremes(z_lo: float, z_hi: float) -> np.ndarray:
+    """Where an expression in z of the model families peaks over [z_lo,
+    z_hi]: each is monotone on both sides of z = 0, so at an end, or at 0
+    when 0 lies inside."""
+    return np.asarray([z_lo, z_hi] + ([0.0] if z_lo < 0.0 < z_hi else []))
+
+
 def ricci_normal_bound(space: AmbientSpace, rect: Rect) -> float:
     """Supremum of the Ricci operator norm over a rectangle.
 
     Space forms are handled exactly (n times |curvature|).  For the C3/C6
     mismatched variants, every diagonal Ricci entry reduces to a function
-    of z alone (h''/h and (1 - h'^2)/h^2 are constant in these families),
-    so the supremum is taken over a dense z sample plus the endpoints.
+    of z alone (h''/h and (1 - h'^2)/h^2 are constant in these families).
+    There f''/f is constant and f'^2/f^2 and 1/f^2 are affine in
+    T = tanh^2(m z) (C3: 1/f^2 = 1 - T) or T = tan^2(m z) (C6:
+    1/f^2 = 1 + T), so each entry is affine in T.  T is monotone in |z|,
+    so each |entry| peaks at one of the :func:`z_extremes`, and the
+    supremum taken there is exact.
     """
     space.check_rect(rect)
     n = space.n
@@ -272,10 +283,7 @@ def ricci_normal_bound(space: AmbientSpace, rect: Rect) -> float:
     b_const = float(hpp1 / h1)                  # h''/h, constant in C3/C6
     q_const = float((1.0 - hp1 * hp1) / (h1 * h1))  # (1 - h'^2)/h^2, constant
 
-    z = np.linspace(rect.z_lo, rect.z_hi, 2001)
-    if rect.z_lo < 0.0 < rect.z_hi:
-        z = np.append(z, 0.0)
-    f, fp, fpp = space.f(z)
+    f, fp, fpp = space.f(z_extremes(rect.z_lo, rect.z_hi))
     axis_term = -fpp / f
     ric_zz = n * axis_term
     ric_rr = axis_term - (n - 1) * (b_const + fp * fp) / (f * f)
@@ -294,15 +302,11 @@ def sup_norms(space: AmbientSpace, rect: Rect) -> SupNorms:
 
     Each per-axis expression in the model families is piecewise monotone
     with interior extrema only at z = 0, so evaluating at the rectangle
-    edges plus z = 0 gives the exact supremum.
+    edges plus z = 0 (:func:`z_extremes`) gives the exact supremum.
     """
     space.check_rect(rect)
-    z = [rect.z_lo, rect.z_hi]
-    if rect.z_lo < 0.0 < rect.z_hi:
-        z.append(0.0)
-    z = np.asarray(z)
     r = np.asarray([rect.r_lo, rect.r_hi])
-    f, fp, _ = space.f(z)
+    f, fp, _ = space.f(z_extremes(rect.z_lo, rect.z_hi))
     h, hp, hpp = space.h(r)
 
     def fmax(expr):

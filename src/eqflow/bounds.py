@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
 from .ambient import (AmbientSpace, Rect, radial_measure, radial_measure_inverse,
-                      sup_norms)
+                      sup_norms, z_extremes)
 from .curve import GraphProfile, quadrature
 from .geometry import (GeometrySummary, GraphGrid, graph_terms, mean_curvature,
                        principal_curvatures, unit_sphere_volume)
@@ -37,49 +36,56 @@ VOLUME_DRIFT_TOL = 1e-6
 MONITOR_DT_MAX = 1e-4
 
 
-@lru_cache(maxsize=256)
-def _slab_f_integral(space: AmbientSpace, a: float, b: float) -> float:
-    space.check_z([a, b])
-    val, _ = quad(lambda z: float(space.f(z)[0]) ** space.n, a, b,
+def slab_f_integral(space: AmbientSpace, slab: tuple[float, float]) -> float:
+    """Integral of f^n over the slab, by adaptive quadrature."""
+    space.check_z(slab)
+    val, _ = quad(lambda z: float(space.f(z)[0]) ** space.n, slab[0], slab[1],
                   epsabs=1e-13, epsrel=1e-13, limit=200)
     return val
 
 
-def slab_f_integral(space: AmbientSpace, slab: tuple[float, float]) -> float:
-    """Integral of f^n over the slab, by adaptive quadrature (cached; the
-    monitors re-derive the radius cap at every recorded step)."""
-    return _slab_f_integral(space, float(slab[0]), float(slab[1]))
+def _far_measure(space: AmbientSpace) -> float:
+    """R(h_zero), the radial measure up to the far axis; inf without one."""
+    return math.inf if space.h_zero is None else radial_measure(space, space.h_zero)
 
 
 def slab_volume(space: AmbientSpace, slab: tuple[float, float]) -> float | None:
     """Total volume of the slab up to the far axis, None when infinite."""
     if space.h_zero is None:
         return None
-    total = radial_measure(space, space.h_zero)
-    return unit_sphere_volume(space.n) * slab_f_integral(space, slab) * total
+    return unit_sphere_volume(space.n) * slab_f_integral(space, slab) * _far_measure(space)
+
+
+def radius_measures(space: AmbientSpace, slab: tuple[float, float],
+                    volume: float, area: float) -> tuple[float, float, float]:
+    """Radius localization as radial measures R, ``(m_vol, s, m_cap)``:
+    m_vol = V / (omega F) = R(r_volume), with F the integral of f^n over the
+    slab and omega the unit-sphere volume; s = sup(f^-n) / omega, taken
+    exactly at the z extremes; and the area-budget cap m_cap = m_vol + s A,
+    binding only below R(h_zero).  R is strictly increasing."""
+    omega = unit_sphere_volume(space.n)
+    m_vol = volume / (omega * slab_f_integral(space, slab))
+    f, _, _ = space.f(z_extremes(*slab))
+    s = float(np.max(1.0 / f**space.n)) / omega
+    return m_vol, s, m_vol + s * area
 
 
 def radius_bounds(space: AmbientSpace, slab: tuple[float, float],
                   volume: float, area: float) -> tuple[float, float | None]:
-    """Volume-equivalent radius and a-priori radius cap.
+    """Volume-equivalent radius and a-priori radius cap, the radii of
+    :func:`radius_measures`.
 
-    Returns ``(r_volume, r_cap)``.  ``r_volume`` is the radius whose
-    coaxial tube over the slab encloses exactly ``volume``; any profile
-    with that enclosed volume crosses it.  ``r_cap`` caps the profile
-    above ``r_volume`` using the area budget; when the defining equation
-    has no solution below the zero of h, the cap is returned as None and
-    the zero of h itself is the only constraint.
+    ``r_volume``'s coaxial tube over the slab encloses exactly ``volume``,
+    so any profile with that enclosed volume crosses it.  ``r_cap`` caps
+    the profile by the area budget; it is None when the cap reaches the
+    zero of h, which is then the only constraint.
     """
     if volume <= 0.0 or area <= 0.0:
         raise ValueError("volume and area must be positive")
-    omega = unit_sphere_volume(space.n)
-    f_int = slab_f_integral(space, slab)
-    r_volume = radial_measure_inverse(space, volume / (omega * f_int))
-    inv_fn = _inv_fn_sup(space, float(slab[0]), float(slab[1]))
-    target = area * inv_fn / omega + radial_measure(space, r_volume)
-    if space.h_zero is not None and target > radial_measure(space, space.h_zero):
-        return r_volume, None
-    return r_volume, radial_measure_inverse(space, target)
+    m_vol, _, m_cap = radius_measures(space, slab, volume, area)
+    r_cap = (radial_measure_inverse(space, m_cap)
+             if m_cap <= _far_measure(space) else None)
+    return radial_measure_inverse(space, m_vol), r_cap
 
 
 def _safe_exp(x: float) -> float:
@@ -87,19 +93,6 @@ def _safe_exp(x: float) -> float:
     constants blow up as the radius envelope approaches a coordinate
     zero, and an infinite cap is a vacuous bound, not an error."""
     return math.inf if x > 709.0 else math.exp(x)
-
-
-def _f_sup(space: AmbientSpace, slab: tuple[float, float], expr) -> float:
-    """Exact sup of |expr(f, f')| over the slab (candidates: ends and z=0)."""
-    a, b = slab
-    zs = [a, b] + ([0.0] if a < 0.0 < b else [])
-    f, fp, _ = space.f(np.asarray(zs))
-    return float(np.max(np.abs(expr(f, fp))))
-
-
-@lru_cache(maxsize=256)
-def _inv_fn_sup(space: AmbientSpace, a: float, b: float) -> float:
-    return _f_sup(space, (a, b), lambda f, fp: 1.0 / f**space.n)
 
 
 def avg_H_bound(space: AmbientSpace, slab: tuple[float, float],
@@ -134,6 +127,7 @@ class BoundSet:
     v_cap : resulting sup bound for the slope v along the flow.
     longtime_area_cap : area threshold sufficient for long-time existence.
     slab_vol : total slab volume (None when infinite).
+    vol_measure, area_rate, cap_measure : :func:`radius_measures`, unserialized.
     """
 
     n: int
@@ -153,6 +147,9 @@ class BoundSet:
     longtime_area_cap: float
     longtime_ok: bool
     slab_vol: float | None
+    vol_measure: float
+    area_rate: float
+    cap_measure: float
 
     def to_json_dict(self) -> dict:
         """Plain-JSON view; unbounded (infinite) values serialize as null,
@@ -199,14 +196,11 @@ def longtime_area_check(space: AmbientSpace, slab: tuple[float, float],
                         volume: float, area: float) -> tuple[float, bool]:
     """Area threshold sufficient for long-time existence, and the verdict.
 
-    The threshold is min(V, vol(slab) - V) / (sup(f^-n) * integral f^n);
-    with an infinite slab volume the min reduces to V.
+    The threshold is min(V, vol(slab) - V) / (sup(f^-n) * integral f^n),
+    divided through by omega F here; with an infinite slab volume it is V.
     """
-    f_int = slab_f_integral(space, slab)
-    inv_fn = _f_sup(space, slab, lambda f, fp: 1.0 / f**space.n)
-    vol_g = slab_volume(space, slab)
-    head = volume if vol_g is None else min(volume, vol_g - volume)
-    threshold = head / (inv_fn * f_int)
+    m_vol, s, _ = radius_measures(space, slab, volume, area)
+    threshold = min(m_vol, _far_measure(space) - m_vol) / s
     return threshold, area <= threshold
 
 
@@ -215,6 +209,7 @@ def compute_bound_set(space: AmbientSpace, slab: tuple[float, float],
                       max_v0: float) -> BoundSet:
     """Assemble every a-priori constant for a configuration."""
     r_vol, r_cap = radius_bounds(space, slab, volume, area)
+    m_vol, s, m_cap = radius_measures(space, slab, volume, area)
     h_cap = avg_H_bound(space, slab, r_lo, r_hi)
     curv_const, rate, decay, source, v_cap = graph_bound(
         space, slab, r_lo, r_hi, r_cap, max_v0)
@@ -224,7 +219,8 @@ def compute_bound_set(space: AmbientSpace, slab: tuple[float, float],
         volume0=volume, r_volume=r_vol, r_cap=r_cap, avg_H_cap=h_cap,
         curv_const=curv_const, weight_rate=rate, decay_rate=decay,
         source_const=source, v_cap=v_cap, longtime_area_cap=threshold,
-        longtime_ok=ok, slab_vol=slab_volume(space, slab))
+        longtime_ok=ok, slab_vol=slab_volume(space, slab),
+        vol_measure=m_vol, area_rate=s, cap_measure=m_cap)
 
 
 # -- boundary identities ---------------------------------------------------
@@ -357,21 +353,24 @@ def run_monitors(space: AmbientSpace, bound_set: BoundSet,
 
     ``summary`` is read for ``area``, ``volume``, ``avg_H`` and the slope
     array ``v``: a GeometrySummary, or the flow's own state evaluation.
-    The radius cap is re-derived from the current area (with the initial
-    volume) and the stricter of the frozen and the running cap is used.
+    The radius caps (the frozen one, that of the current area, the zero of
+    h) are checked with no root finding, as r_max < h_zero and R(r_max) <
+    min(cap_measure, vol_measure + area_rate * area); the threshold is the
+    frozen cap radius (else h_zero) on a pass, the binding cap on a failure.
     ``prev_*`` and ``dt`` feed the area-monotonicity and dissipation
     checks for the step that produced this state; pass None at t = 0.
     """
     checks: dict[str, MonitorCheck] = {}
 
-    _, r_cap_now = radius_bounds(space, bound_set.slab, bound_set.volume0,
-                                 summary.area)
-    caps = [c for c in (bound_set.r_cap, r_cap_now) if c is not None]
-    if space.h_zero is not None:
-        caps.append(space.h_zero)
-    cap = min(caps) if caps else math.inf
     r_max = float(np.max(profile.r))
-    checks["radius_cap"] = MonitorCheck(r_max, cap, r_max < cap)
+    cap = min(bound_set.cap_measure,
+              bound_set.vol_measure + bound_set.area_rate * summary.area)
+    # the zero of h is compared as a radius: R is flat there
+    below = ((space.h_zero is None or r_max < space.h_zero)
+             and radial_measure(space, r_max) < cap)
+    threshold = (bound_set.r_cap or space.h_zero if below else
+                 radial_measure_inverse(space, min(cap, _far_measure(space))))
+    checks["radius_cap"] = MonitorCheck(r_max, threshold, below)
 
     checks["avg_H_cap"] = MonitorCheck(abs(summary.avg_H), bound_set.avg_H_cap,
                                        abs(summary.avg_H) <= bound_set.avg_H_cap)

@@ -94,6 +94,13 @@ class RunConfig:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
+def _finite_number(val) -> bool:
+    """True for a JSON number that converts to a finite float."""
+    # abs(val) <= max also rules out NaN, infinities and huge ints
+    return (not isinstance(val, bool) and isinstance(val, (int, float))
+            and abs(val) <= sys.float_info.max)
+
+
 class _Reader:
     """Pulls typed values out of nested dicts, accumulating errors."""
 
@@ -122,9 +129,7 @@ class _Reader:
         val = sub[key]
         if val is None and allow_none:
             return None
-        # abs(val) <= max also rules out NaN, infinities and huge ints
-        if (isinstance(val, bool) or not isinstance(val, (int, float))
-                or not abs(val) <= sys.float_info.max):
+        if not _finite_number(val):
             self.fail(f"{path}.{key}", "must be a finite number")
             return default
         return float(val)
@@ -198,10 +203,8 @@ def parse_config(text: str) -> RunConfig:
     radii = None
     if "radii" in ini_sub:
         raw = ini_sub["radii"]
-        if (not isinstance(raw, list)
-                or not all(isinstance(v, (int, float))
-                           and not isinstance(v, bool) for v in raw)):
-            rd.fail("initial.radii", "must be a list of numbers")
+        if not isinstance(raw, list) or not all(map(_finite_number, raw)):
+            rd.fail("initial.radii", "must be a list of finite numbers")
         else:
             radii = tuple(float(v) for v in raw)
 

@@ -203,6 +203,30 @@ def test_ricci_bound_space_form_is_einstein_constant():
     assert ricci_normal_bound(make_space("C3", lam=-1.0, n=3), rect) == 3.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("case,lam,lam_h", [
+    ("C3", -1.0, -2.0), ("C3", -2.5, -0.3),
+    ("C6", 1.0, 3.0), ("C6", 0.5, 0.2),
+])
+@pytest.mark.parametrize("z_lo,z_hi", [(-0.5, 0.8), (0.2, 0.9), (-1.0, -0.1)])
+def test_ricci_bound_of_mismatched_variant_matches_dense_sample(
+        case, lam, lam_h, n, z_lo, z_hi):
+    # Reference: the Ricci entries from the sectional curvatures on a dense
+    # z sample (plus z = 0 when inside), at one r, since the entries do not
+    # depend on r in these families.
+    sp = make_space(case, lam=lam, n=n, lam_h=lam_h)
+    rect = Rect(z_lo, z_hi, 0.2, 0.6)
+    z = np.linspace(z_lo, z_hi, 400_001)
+    if z_lo < 0.0 < z_hi:
+        z = np.append(z, 0.0)
+    k = curvature_components(sp, z, np.full_like(z, 0.4))
+    entries = (n * k.axis_plane,
+               k.axis_plane + (n - 1) * k.radial_plane,
+               k.axis_plane + k.radial_plane + (n - 2) * k.sphere_plane)
+    sampled = max(float(np.max(np.abs(e))) for e in entries)
+    assert ricci_normal_bound(sp, rect) == pytest.approx(sampled, rel=1e-15)
+
+
 def test_ricci_bound_rejects_rect_touching_axis():
     sp = make_space("C2", n=2)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """A-priori constants, boundary identities, and runtime monitors."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eqflow import ambient, bounds
 from eqflow.ambient import make_space
 from eqflow.bounds import (
     _stencil_weights,
@@ -30,6 +32,7 @@ from eqflow.geometry import (
     principal_curvatures,
     summarize,
 )
+from eqflow.reference_cases import make_initial
 
 C1 = make_space("C1", n=2)
 C2 = make_space("C2", n=2)
@@ -313,6 +316,96 @@ def test_monitors_flag_corrupted_radius():
     check = report.checks["radius_cap"]
     assert check.observed == pytest.approx(10.0, rel=1e-12)
     assert not check.passed
+
+
+# One space per family, as the benchmark flows them; C3 is the mismatched
+# n = 3 variant.
+MONITOR_SPACES = [
+    (dict(case="C1"), (0.0, 1.0)),
+    (dict(case="C2"), (1.0, 2.0)),
+    (dict(case="C3", lam=-1.0, lam_h=-2.0, n=3), (-0.5, 0.5)),
+    (dict(case="C4", lam=-1.0), (1.0, 2.0)),
+    (dict(case="C5", lam=-1.0), (0.0, 1.0)),
+    (dict(case="C6", lam=1.0), (-0.5, 0.5)),
+]
+
+
+def _monitor_setup(kwargs, slab, area_scale=1.0):
+    """A flow-like initial state and its bound set, frozen at area
+    ``area0``: ``area_scale`` times the state's (a large scale makes the
+    zero of h bind)."""
+    space = make_space(**kwargs)
+    prof = make_initial(space, slab, 64, kind="perturbed", radius=1.0,
+                        amplitude=0.1, mode=1)
+    summ = summarize(space, prof)
+    area0 = area_scale * summ.area
+    bset = compute_bound_set(space, slab, summ.volume, area0,
+                             0.99 * float(np.min(prof.r)),
+                             1.01 * float(np.max(prof.r)),
+                             float(np.max(summ.v)))
+    return space, prof, summ, bset, area0
+
+
+def _radius_space_cap(space, bset, area):
+    """The radius cap as radii: the stricter of the frozen cap, the cap of
+    the current area and the zero of h."""
+    _, r_cap_now = radius_bounds(space, bset.slab, bset.volume0, area)
+    caps = [c for c in (bset.r_cap, r_cap_now, space.h_zero) if c is not None]
+    return min(caps)
+
+
+@pytest.mark.parametrize("kwargs,slab", MONITOR_SPACES,
+                         ids=[k["case"] for k, _ in MONITOR_SPACES])
+def test_measure_space_radius_cap_matches_radius_space(kwargs, slab):
+    setups = [_monitor_setup(kwargs, slab)]
+    if kwargs["case"] in ("C2", "C6"):
+        setups.append(_monitor_setup(kwargs, slab, area_scale=1e3))
+    for space, prof, summ, bset, area0 in setups:
+        for area in (0.5 * area0, 0.9 * area0, 1.5 * area0, 3.0 * area0):
+            cap = _radius_space_cap(space, bset, area)
+            if bset.r_cap is None:
+                assert cap == space.h_zero
+            for rel in (-1e-11, -1e-6, 1e-6, 1e-11):
+                r_max = cap * (1.0 + rel)
+                state = prof.with_radii(prof.r * (r_max / float(np.max(prof.r))))
+                report = run_monitors(space, bset, state,
+                                      dataclasses.replace(summ, area=area), 0.1)
+                check = report.checks["radius_cap"]
+                assert check.observed == float(np.max(state.r))
+                assert check.passed == (check.observed < cap) == (rel < 0.0)
+                if check.passed:
+                    frozen = bset.r_cap if bset.r_cap is not None else space.h_zero
+                    assert check.threshold == frozen
+                else:
+                    assert check.threshold == pytest.approx(cap, rel=1e-12)
+
+
+def test_radius_cap_check_finds_no_root_on_a_passing_record(monkeypatch):
+    counts = {"inverse": 0, "quad": 0, "brentq": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bounds, "radial_measure_inverse",
+                        counting("inverse", bounds.radial_measure_inverse))
+    monkeypatch.setattr(bounds, "quad", counting("quad", bounds.quad))
+    monkeypatch.setattr(ambient, "brentq", counting("brentq", ambient.brentq))
+    for kwargs, slab in MONITOR_SPACES:
+        space, prof, summ, bset, _ = _monitor_setup(kwargs, slab)
+        counts.update(inverse=0, quad=0, brentq=0)
+        report = run_monitors(space, bset, prof, summ, 0.1,
+                              prev_area=summ.area * (1.0 + 1e-9),
+                              prev_dissipation=1.0, dt=1e-5)
+        assert report.checks["radius_cap"].passed
+        assert counts == {"inverse": 0, "quad": 0, "brentq": 0}
+        bad = prof.with_radii(prof.r * (1.01 * bset.r_cap / np.max(prof.r)))
+        report = run_monitors(space, bset, bad, summ, 0.1)
+        assert not report.checks["radius_cap"].passed
+        assert counts["inverse"] == 1 and counts["quad"] == 0
+        assert counts["brentq"] <= 1
 
 
 def test_monitors_flag_area_growth():

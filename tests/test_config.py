@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eqflow.bounds import MONITOR_DT_MAX
+from eqflow.cli import main as cli_main
 from eqflow.config import (ConfigError, InitialConfig, RunConfig,
                            load_config, parse_config)
 
@@ -175,6 +176,30 @@ def test_radii_must_be_numbers():
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     assert any("initial.radii" in msg for msg in err.value.errors)
+
+
+@pytest.mark.parametrize("entry", ["1" + "0" * 400, "-1" + "0" * 400,
+                                   "NaN", "Infinity", "-Infinity", "true"],
+                         ids=["huge_int", "huge_negative_int", "nan",
+                              "infinity", "negative_infinity", "bool"])
+def test_radii_must_be_finite_numbers(entry, tmp_path, capsys):
+    # JSON text, so that huge integers, NaN and Infinity arrive the way a
+    # file gives them
+    doc = {
+        "space": {"case": "C1"},
+        "slab": {"a": 0.0, "b": 1.0},
+        "grid": {"N": 8},
+        "initial": {"kind": "custom", "radii": [1.0] * 8 + ["@"]},
+    }
+    text = json.dumps(doc).replace('"@"', entry)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert [msg.split(":")[0] for msg in err.value.errors] == ["initial.radii"]
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "initial.radii" in capsys.readouterr().err
 
 
 def test_direct_dataclass_construction():

@@ -1,18 +1,23 @@
-"""Every name the package and the tests import is used.
+"""Every name the package, the scripts and the tests import is used, and
+every script still imports.
 
 A static scan of the syntax tree: a name bound by ``import`` or ``from
 ... import`` must appear somewhere else in the module, as a name, as the
 root of an attribute chain, or in ``__all__``.  ``__future__`` imports
-and ``import x as x`` re-exports are exempt.
+and ``import x as x`` re-exports are exempt.  Each script is also loaded
+and asked for ``--help``, so one that imports a name the package no
+longer has fails here.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "eqflow").glob("*.py"),
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+FILES = sorted([*(ROOT / "src" / "eqflow").glob("*.py"), *SCRIPTS,
                 *(ROOT / "tests").glob("*.py")])
 
 
@@ -49,3 +54,14 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_help_exits_cleanly(path, capsys):
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
