@@ -30,9 +30,6 @@ from scipy.optimize import brentq
 
 CASES = ("C1", "C2", "C3", "C4", "C5", "C6")
 
-# Cases where f vanishes at z = 0 (the domain of z is one-sided and open).
-_POSITIVE_Z = ("C2", "C4")
-
 
 @dataclass(frozen=True)
 class Rect:
@@ -155,20 +152,25 @@ class AmbientSpace:
         if hi is not None and np.any(z >= hi):
             raise ValueError(f"z out of domain for {self.case}: max z = {z.max()} >= {hi}")
 
-    def check_r(self, r, strict: bool = False) -> None:
-        """Raise if any r leaves [0, h_zero] (open interval when strict)."""
+    def admits(self, r) -> bool:
+        """True when every r lies in the open band (0, h_zero), the radii a
+        state may take; NaN and infinities fail.  This is the one test of
+        the band: states are checked with it where they enter, through
+        :meth:`check_r`, and trial states of the flow directly."""
+        hi = math.inf if self.h_zero is None else self.h_zero
+        return bool(np.all((r > 0.0) & (r < hi)))
+
+    def check_r(self, r) -> None:
+        """Raise ValueError unless :meth:`admits` accepts every r."""
         r = np.asarray(r, dtype=float)
-        lo_bad = np.any(r <= 0.0) if strict else np.any(r < 0.0)
-        if lo_bad:
-            raise ValueError(f"r out of range: min r = {r.min()}")
-        if self.h_zero is not None:
-            hi_bad = np.any(r >= self.h_zero) if strict else np.any(r > self.h_zero)
-            if hi_bad:
-                raise ValueError(f"r out of range: max r = {r.max()} vs h zero {self.h_zero}")
+        if not self.admits(r):
+            raise ValueError(f"r out of range (0, h_zero = {self.h_zero}) "
+                             f"for {self.case}: min r = {r.min()}, "
+                             f"max r = {r.max()}")
 
     def check_rect(self, rect: Rect) -> None:
         self.check_z([rect.z_lo, rect.z_hi])
-        self.check_r([rect.r_lo, rect.r_hi], strict=True)
+        self.check_r([rect.r_lo, rect.r_hi])
 
     @property
     def is_space_form(self) -> bool:
@@ -246,7 +248,7 @@ def curvature_components(space: AmbientSpace, z, r) -> CurvatureComponents:
     position-dependent values.
     """
     space.check_z(z)
-    space.check_r(r, strict=True)
+    space.check_r(r)
     f, fp, fpp = space.f(z)
     h, hp, hpp = space.h(r)
     axis = -fpp / f
@@ -353,10 +355,12 @@ def radial_measure(space: AmbientSpace, R):
     """Closed-form integral of h^(n-1) over [0, R] (scalar or array).
 
     This is the cross-sectional volume factor pairing with f^n in the
-    enclosed-volume formula; it is strictly increasing in R.
+    enclosed-volume formula; it is strictly increasing in R.  Its domain
+    is 0 <= R <= h_zero, and it does not check R: callers pass admitted
+    states (:meth:`AmbientSpace.admits`), h_zero itself or a root
+    bracket inside the domain.
     """
     R = np.asarray(R, dtype=float)
-    space.check_r(R)
     n = space.n
     if space.case in ("C1", "C5"):
         out = R ** n / n

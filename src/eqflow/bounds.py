@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .ambient import (AmbientSpace, Rect, radial_measure, radial_measure_inverse,
-                      sup_norms, z_extremes)
+from .ambient import (AmbientSpace, Rect, SupNorms, radial_measure,
+                      radial_measure_inverse, sup_norms)
 from .curve import GraphProfile, quadrature
 from .geometry import (GeometrySummary, GraphGrid, graph_terms, mean_curvature,
                        principal_curvatures, unit_sphere_volume)
@@ -49,40 +49,40 @@ def _far_measure(space: AmbientSpace) -> float:
     return math.inf if space.h_zero is None else radial_measure(space, space.h_zero)
 
 
-def slab_volume(space: AmbientSpace, slab: tuple[float, float]) -> float | None:
-    """Total volume of the slab up to the far axis, None when infinite."""
+def slab_volume(space: AmbientSpace, f_integral: float) -> float | None:
+    """Total volume of the slab up to the far axis, None when infinite;
+    ``f_integral`` is the slab's :func:`slab_f_integral`."""
     if space.h_zero is None:
         return None
-    return unit_sphere_volume(space.n) * slab_f_integral(space, slab) * _far_measure(space)
+    return unit_sphere_volume(space.n) * f_integral * _far_measure(space)
 
 
-def radius_measures(space: AmbientSpace, slab: tuple[float, float],
+def radius_measures(space: AmbientSpace, f_integral: float, norms: SupNorms,
                     volume: float, area: float) -> tuple[float, float, float]:
     """Radius localization as radial measures R, ``(m_vol, s, m_cap)``:
-    m_vol = V / (omega F) = R(r_volume), with F the integral of f^n over the
-    slab and omega the unit-sphere volume; s = sup(f^-n) / omega, taken
-    exactly at the z extremes; and the area-budget cap m_cap = m_vol + s A,
-    binding only below R(h_zero).  R is strictly increasing."""
+    m_vol = V / (omega F) = R(r_volume), with F = ``f_integral`` the
+    integral of f^n over the slab and omega the unit-sphere volume;
+    s = sup(f^-n) / omega, read from the slab's ``norms``; and the
+    area-budget cap m_cap = m_vol + s A, binding only below R(h_zero).
+    R is strictly increasing."""
     omega = unit_sphere_volume(space.n)
-    m_vol = volume / (omega * slab_f_integral(space, slab))
-    f, _, _ = space.f(z_extremes(*slab))
-    s = float(np.max(1.0 / f**space.n)) / omega
+    m_vol = volume / (omega * f_integral)
+    s = norms["f^-n"] / omega
     return m_vol, s, m_vol + s * area
 
 
-def radius_bounds(space: AmbientSpace, slab: tuple[float, float],
-                  volume: float, area: float) -> tuple[float, float | None]:
-    """Volume-equivalent radius and a-priori radius cap, the radii of
-    :func:`radius_measures`.
+def radius_bounds(space: AmbientSpace, m_vol: float,
+                  m_cap: float) -> tuple[float, float | None]:
+    """Volume-equivalent radius and a-priori radius cap, the radii of the
+    measures ``m_vol`` and ``m_cap`` of :func:`radius_measures`.
 
-    ``r_volume``'s coaxial tube over the slab encloses exactly ``volume``,
-    so any profile with that enclosed volume crosses it.  ``r_cap`` caps
-    the profile by the area budget; it is None when the cap reaches the
-    zero of h, which is then the only constraint.
+    ``r_volume``'s coaxial tube over the slab encloses exactly the
+    volume, so any profile with that enclosed volume crosses it.
+    ``r_cap`` caps the profile by the area budget; it is None when the
+    cap reaches the zero of h, which is then the only constraint.
     """
-    if volume <= 0.0 or area <= 0.0:
+    if not 0.0 < m_vol < m_cap:
         raise ValueError("volume and area must be positive")
-    m_vol, _, m_cap = radius_measures(space, slab, volume, area)
     r_cap = (radial_measure_inverse(space, m_cap)
              if m_cap <= _far_measure(space) else None)
     return radial_measure_inverse(space, m_vol), r_cap
@@ -95,17 +95,16 @@ def _safe_exp(x: float) -> float:
     return math.inf if x > 709.0 else math.exp(x)
 
 
-def avg_H_bound(space: AmbientSpace, slab: tuple[float, float],
-                r_lo: float, r_hi: float) -> float:
-    """Upper bound for |averaged H| on graphs with radii in [r_lo, r_hi].
+def avg_H_bound(space: AmbientSpace, norms: SupNorms) -> float:
+    """Upper bound for |averaged H| on graphs inside the rectangle of
+    ``norms`` (the slab times the radius band).
 
     The constant is (n-1)(1 + pi/2) sup|h'/(f h)| + ((n-1) pi/2 + n)
-    sup|f'/f| over the slab-times-radius rectangle: the first term bounds
-    the turning-angle integral of the profile curvature, the second the
-    drift terms proportional to f'/f.
+    sup|f'/f| over the rectangle: the first term bounds the turning-angle
+    integral of the profile curvature, the second the drift terms
+    proportional to f'/f.
     """
     n = space.n
-    norms = sup_norms(space, Rect(slab[0], slab[1], r_lo, r_hi))
     return ((n - 1) * (1.0 + math.pi / 2.0) * norms["h'/(f h)"]
             + ((n - 1) * math.pi / 2.0 + n) * norms["f'/f"])
 
@@ -168,16 +167,16 @@ class BoundSet:
         return out
 
 
-def graph_bound(space: AmbientSpace, slab: tuple[float, float], r_lo: float,
-                r_hi: float, r_cap: float | None, max_v0: float):
-    """Constants of the graph-slope estimate.
+def graph_bound(space: AmbientSpace, norms: SupNorms, avg_H_cap: float,
+                r_cap: float | None, max_v0: float):
+    """Constants of the graph-slope estimate over the rectangle of
+    ``norms``, with ``avg_H_cap`` the :func:`avg_H_bound` there.
 
     Returns ``(curv_const, weight_rate, decay_rate, source_const, v_cap)``
     with ``v_cap = max(e^(weight_rate * r_hi) * max_v0,
-    source_const / decay_rate)``.
+    source_const / decay_rate)``, r_hi the top of the radius band.
     """
     n = space.n
-    norms = sup_norms(space, Rect(slab[0], slab[1], r_lo, r_hi))
     curv_const = (norms["f^2"] * norms["ricci"]
                   + (n - 1) * (norms["h''/h"] + norms["h'^2/h^2"]))
     rate = curv_const + (n - 1) * norms["h'/h"] + 1.0
@@ -186,20 +185,19 @@ def graph_bound(space: AmbientSpace, slab: tuple[float, float], r_lo: float,
     if r_eff is None:
         raise ValueError("radius cap undefined in a space with no far axis")
     source = (rate * _safe_exp(rate * r_eff) * norms["f^-2"]
-              * (avg_H_bound(space, slab, r_lo, r_hi)
-                 + 2.0 * norms["f'/f"] + rate * norms["f^-1"]))
-    v_cap = max(_safe_exp(rate * r_hi) * max_v0, source / decay)
+              * (avg_H_cap + 2.0 * norms["f'/f"] + rate * norms["f^-1"]))
+    v_cap = max(_safe_exp(rate * norms.rect.r_hi) * max_v0, source / decay)
     return curv_const, rate, decay, source, v_cap
 
 
-def longtime_area_check(space: AmbientSpace, slab: tuple[float, float],
-                        volume: float, area: float) -> tuple[float, bool]:
-    """Area threshold sufficient for long-time existence, and the verdict.
+def longtime_area_check(space: AmbientSpace, m_vol: float, s: float,
+                        area: float) -> tuple[float, bool]:
+    """Area threshold sufficient for long-time existence, and the verdict;
+    ``m_vol`` and ``s`` are those of :func:`radius_measures`.
 
     The threshold is min(V, vol(slab) - V) / (sup(f^-n) * integral f^n),
     divided through by omega F here; with an infinite slab volume it is V.
     """
-    m_vol, s, _ = radius_measures(space, slab, volume, area)
     threshold = min(m_vol, _far_measure(space) - m_vol) / s
     return threshold, area <= threshold
 
@@ -207,19 +205,23 @@ def longtime_area_check(space: AmbientSpace, slab: tuple[float, float],
 def compute_bound_set(space: AmbientSpace, slab: tuple[float, float],
                       volume: float, area: float, r_lo: float, r_hi: float,
                       max_v0: float) -> BoundSet:
-    """Assemble every a-priori constant for a configuration."""
-    r_vol, r_cap = radius_bounds(space, slab, volume, area)
-    m_vol, s, m_cap = radius_measures(space, slab, volume, area)
-    h_cap = avg_H_bound(space, slab, r_lo, r_hi)
+    """Assemble every a-priori constant for a configuration, all from one
+    integral of f^n over the slab and one table of sup norms over the slab
+    times [r_lo, r_hi]."""
+    f_integral = slab_f_integral(space, slab)
+    norms = sup_norms(space, Rect(slab[0], slab[1], r_lo, r_hi))
+    m_vol, s, m_cap = radius_measures(space, f_integral, norms, volume, area)
+    r_vol, r_cap = radius_bounds(space, m_vol, m_cap)
+    h_cap = avg_H_bound(space, norms)
     curv_const, rate, decay, source, v_cap = graph_bound(
-        space, slab, r_lo, r_hi, r_cap, max_v0)
-    threshold, ok = longtime_area_check(space, slab, volume, area)
+        space, norms, h_cap, r_cap, max_v0)
+    threshold, ok = longtime_area_check(space, m_vol, s, area)
     return BoundSet(
         n=space.n, slab=slab, r_lo=r_lo, r_hi=r_hi, max_v0=max_v0,
         volume0=volume, r_volume=r_vol, r_cap=r_cap, avg_H_cap=h_cap,
         curv_const=curv_const, weight_rate=rate, decay_rate=decay,
         source_const=source, v_cap=v_cap, longtime_area_cap=threshold,
-        longtime_ok=ok, slab_vol=slab_volume(space, slab),
+        longtime_ok=ok, slab_vol=slab_volume(space, f_integral),
         vol_measure=m_vol, area_rate=s, cap_measure=m_cap)
 
 
@@ -354,9 +356,10 @@ def run_monitors(space: AmbientSpace, bound_set: BoundSet,
     ``summary`` is read for ``area``, ``volume``, ``avg_H`` and the slope
     array ``v``: a GeometrySummary, or the flow's own state evaluation.
     The radius caps (the frozen one, that of the current area, the zero of
-    h) are checked with no root finding, as r_max < h_zero and R(r_max) <
-    min(cap_measure, vol_measure + area_rate * area); the threshold is the
-    frozen cap radius (else h_zero) on a pass, the binding cap on a failure.
+    h) are checked with no root finding, as ``space.admits(r_max)`` and
+    R(r_max) < min(cap_measure, vol_measure + area_rate * area); the
+    threshold is the frozen cap radius (else h_zero) on a pass, the
+    binding cap on a failure.
     ``prev_*`` and ``dt`` feed the area-monotonicity and dissipation
     checks for the step that produced this state; pass None at t = 0.
     """
@@ -365,9 +368,9 @@ def run_monitors(space: AmbientSpace, bound_set: BoundSet,
     r_max = float(np.max(profile.r))
     cap = min(bound_set.cap_measure,
               bound_set.vol_measure + bound_set.area_rate * summary.area)
-    # the zero of h is compared as a radius: R is flat there
-    below = ((space.h_zero is None or r_max < space.h_zero)
-             and radial_measure(space, r_max) < cap)
+    # the zero of h is compared as a radius (R is flat there), and R is
+    # only evaluated in its domain
+    below = space.admits(r_max) and radial_measure(space, r_max) < cap
     threshold = (bound_set.r_cap or space.h_zero if below else
                  radial_measure_inverse(space, min(cap, _far_measure(space))))
     checks["radius_cap"] = MonitorCheck(r_max, threshold, below)

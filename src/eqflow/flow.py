@@ -22,7 +22,12 @@ Runge-Kutta alternative under a parabolic step restriction, driven by
 the pre-step average and not projected, is kept for cross checks.
 
 The inner loop works on bare radius arrays; profile objects are built
-once per accepted step for records and monitors.
+once per accepted step for records and monitors.  The radii must stay in
+the ambient's open band (0, h_zero): a state entering through a public
+function is checked once, when its ``GraphGrid`` is built, and each
+trial state of a step (a Newton iterate, an RK4 stage, the RK4 result)
+is tested once with ``AmbientSpace.admits``; an inadmissible trial
+rejects the attempt.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from scipy.linalg.lapack import dgtsv
 from .ambient import AmbientSpace, radial_measure
 from .bounds import MONITOR_DT_MAX, BoundSet, compute_bound_set, run_monitors
 from .curve import GraphProfile
-from .geometry import GraphGrid, GraphTerms, graph_terms
+from .geometry import GraphGrid, GraphTerms, graph_terms, weingarten_norm
 
 STEP_TOL = 1e-6          # per-step error bound for the doubling control
 RECT_MARGIN = 0.01       # radius envelope margin for the frozen bounds
@@ -144,15 +149,9 @@ def _full_eval(g: GraphGrid, r: np.ndarray) -> _StateEval:
     ev.r_min = float(np.min(r))
     ev.r_max = float(np.max(r))
     ev.v_max = float(np.max(ev.v))
-    ev.L_max = float(np.max(np.sqrt(k1 ** 2 + (n - 1) * k2 ** 2)))
+    ev.L_max = float(np.max(weingarten_norm(k1, k2, n)))
     ev.dissipation = g.omega * float(g.w @ ((ev.avg_H - H) ** 2 * t.elem))
     return ev
-
-
-def _admissible(space: AmbientSpace, r: np.ndarray) -> bool:
-    if not np.all(np.isfinite(r)) or not np.all(r > 0.0):
-        return False
-    return space.h_zero is None or bool(np.all(r < space.h_zero))
 
 
 def _volume_measure(g: GraphGrid, r: np.ndarray) -> float:
@@ -193,7 +192,7 @@ def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
     lam = ev.avg_H
     for _ in range(NEWTON_MAX):
         r_new = p + lam * q
-        if not _admissible(space, r_new):
+        if not space.admits(r_new):
             return None
         gap = _volume_measure(g, r_new) - target
         if abs(gap) <= NEWTON_RTOL * target:
@@ -205,7 +204,7 @@ def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
 def _rk4_update(g: GraphGrid, r: np.ndarray, dt: float,
                 avg_H: float) -> np.ndarray | None:
     def slope(radii):
-        if not _admissible(g.space, radii):
+        if not g.space.admits(radii):
             return None
         t = graph_terms(g, radii)
         return t.local + avg_H * t.speed / g.f
@@ -223,7 +222,7 @@ def _rk4_update(g: GraphGrid, r: np.ndarray, dt: float,
     if k4 is None:
         return None
     r_new = r + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not _admissible(g.space, r_new):
+    if not g.space.admits(r_new):
         return None
     return r_new
 

@@ -48,7 +48,7 @@ def principal_curvatures(space: AmbientSpace, curve) -> tuple[np.ndarray, np.nda
     """Normal curvatures (k1, k2) at every sample of the curve."""
     s, z, r, dz, dr, d2z, d2r = _curve_arrays(space, curve)
     space.check_z(z)
-    space.check_r(r, strict=True)
+    space.check_r(r)
     f, fp, _ = space.f(z)
     h, hp, _ = space.h(r)
     speed = np.hypot(dz, f * dr)
@@ -72,9 +72,16 @@ def weingarten_norm(k1: np.ndarray, k2: np.ndarray, n: int) -> np.ndarray:
 class GraphGrid:
     """Constants of a uniform z grid: nodes, warping values on them,
     trapezoid weights, the volume weights w f^n (the enclosed volume is
-    ``omega * vol_w @ radial_measure(r)``) and the unit-sphere volume."""
+    ``omega * vol_w @ radial_measure(r)``) and the unit-sphere volume.
+
+    Building one is where a graph state enters the flow and the graph
+    kernel, so it checks the profile's radii against the ambient's open
+    band (:meth:`AmbientSpace.check_r`); radii derived on the grid
+    later are tested with :meth:`AmbientSpace.admits` by whoever makes
+    them."""
 
     def __init__(self, space: AmbientSpace, profile: GraphProfile):
+        space.check_r(profile.r)
         self.space = space
         self.z = profile.z
         self.dz = profile.dz
@@ -113,7 +120,7 @@ class GraphTerms:
         k1 = -(self.rddot * f / self.speed2
                + fp * self.rdot * (1.0 / self.speed2 + 1.0)) / self.speed
         k2 = (self.hp / (self.h * f) - fp * self.rdot) / self.speed
-        return k1, k2, k1 + (self.grid.space.n - 1) * k2
+        return k1, k2, mean_curvature(k1, k2, self.grid.space.n)
 
 
 def graph_terms(grid: GraphGrid, r: np.ndarray) -> GraphTerms:
@@ -159,6 +166,7 @@ def area(space: AmbientSpace, curve, rule: str = "trapezoid") -> float:
 def enclosed_volume(space: AmbientSpace, profile: GraphProfile,
                     rule: str = "trapezoid") -> float:
     """Volume enclosed between the hypersurface and the axis r = 0."""
+    space.check_r(profile.r)
     f = space.f(profile.z)[0]
     vals = f ** space.n * radial_measure(space, profile.r)
     return unit_sphere_volume(space.n) * quadrature(vals, x=profile.z, rule=rule)
@@ -188,7 +196,7 @@ def averaged_H_by_parts(space: AmbientSpace, curve: ParamCurve,
     """
     s, z, r, dz, dr, _, _ = _curve_arrays(space, curve)
     space.check_z(z)
-    space.check_r(r, strict=True)
+    space.check_r(r)
     f, fp, _ = space.f(z)
     h, hp, _ = space.h(r)
     n = space.n

@@ -227,5 +227,5 @@ def make_initial(space: AmbientSpace, slab: tuple[float, float], N: int,
             raise ValueError(f"custom radii must have length {N + 1}")
     else:
         raise ValueError(f"unknown initial kind {kind!r}")
-    space.check_r(r, strict=True)
+    space.check_r(r)
     return GraphProfile(a=a, b=b, r=r)

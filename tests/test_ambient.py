@@ -147,6 +147,21 @@ def test_hyperbolic_curvature_value_and_oracle():
         assert val == pytest.approx(-1.0, abs=1e-6), name
 
 
+def test_band_predicate_is_the_open_band():
+    crown, flat = make_space("C2", n=2), make_space("C1", n=2)
+    assert crown.admits(np.array([1e-300, 3.14159]))
+    assert flat.admits(np.array([1e-300, 1e300]))
+    for bad in (0.0, -1.0, math.pi, 4.0, math.nan, math.inf, -math.inf):
+        assert not crown.admits(np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="r out of range"):
+            crown.check_r([1.0, bad])
+    for bad in (0.0, math.nan, math.inf):
+        assert not flat.admits(np.array([1.0, bad]))
+    with pytest.raises(ValueError):
+        flat.check_r([1.0, math.nan])
+    assert not crown.admits(3.3) and crown.admits(3.1)
+
+
 def test_curvature_rejects_degenerate_radius():
     sp = make_space("C2", n=2)
     with pytest.raises(ValueError):

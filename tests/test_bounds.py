@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eqflow import ambient, bounds
-from eqflow.ambient import make_space
+from eqflow.ambient import Rect, make_space, sup_norms
 from eqflow.bounds import (
     _stencil_weights,
     avg_H_bound,
@@ -21,7 +21,9 @@ from eqflow.bounds import (
     graph_bound,
     longtime_area_check,
     radius_bounds,
+    radius_measures,
     run_monitors,
+    slab_f_integral,
     slab_volume,
 )
 from eqflow.curve import GraphProfile, quadrature
@@ -47,41 +49,55 @@ def _perturbed(radius, amp, N=200, a=0.0, b=1.0):
     return GraphProfile(a, b, radius + amp * np.cos(math.pi * (z - a) / (b - a)))
 
 
+def _norms(space, slab, r_lo=0.5, r_hi=1.0):
+    return sup_norms(space, Rect(slab[0], slab[1], r_lo, r_hi))
+
+
+def _measures(space, slab, volume, area):
+    """``radius_measures`` from the values a freeze derives once (the
+    radius band of the sup norms does not enter)."""
+    return radius_measures(space, slab_f_integral(space, slab),
+                           _norms(space, slab), volume, area)
+
+
 # -- slab volume and radius localization -----------------------------------
 
 def test_slab_volume_infinite_when_h_never_returns():
-    assert slab_volume(C1, (0.0, 1.0)) is None
+    assert slab_volume(C1, slab_f_integral(C1, (0.0, 1.0))) is None
 
 
 def test_slab_volume_crown():
     # 2 pi * int_1^2 z^2 dz * int_0^pi sin = 2 pi * 7/3 * 2
-    assert slab_volume(C2, (1.0, 2.0)) == pytest.approx(28.0 * math.pi / 3.0,
-                                                        rel=1e-12)
+    assert slab_volume(C2, slab_f_integral(C2, (1.0, 2.0))) == pytest.approx(
+        28.0 * math.pi / 3.0, rel=1e-12)
 
 
 def test_radius_bounds_flat_cylinder():
-    r_vol, r_cap = radius_bounds(C1, (0.0, 1.0), math.pi, 2.0 * math.pi)
+    m_vol, _, m_cap = _measures(C1, (0.0, 1.0), math.pi, 2.0 * math.pi)
+    r_vol, r_cap = radius_bounds(C1, m_vol, m_cap)
     assert r_vol == pytest.approx(1.0, rel=1e-12)
     assert r_cap == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
 
 def test_radius_bounds_crown_plane():
-    r_vol, r_cap = radius_bounds(C2, (1.0, 2.0), 14.0 * math.pi / 3.0,
-                                 3.0 * math.pi)
+    m_vol, _, m_cap = _measures(C2, (1.0, 2.0), 14.0 * math.pi / 3.0,
+                                3.0 * math.pi)
+    r_vol, r_cap = radius_bounds(C2, m_vol, m_cap)
     assert r_vol == pytest.approx(math.pi / 2.0, rel=1e-12)
     assert r_cap is None   # area budget exceeds the measure up to the far axis
 
 
 def test_radius_bounds_rejects_nonpositive_inputs():
-    with pytest.raises(ValueError):
-        radius_bounds(C1, (0.0, 1.0), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        radius_bounds(C1, (0.0, 1.0), 1.0, -2.0)
+    for volume, area_ in ((0.0, 1.0), (1.0, -2.0)):
+        m_vol, _, m_cap = _measures(C1, (0.0, 1.0), volume, area_)
+        with pytest.raises(ValueError):
+            radius_bounds(C1, m_vol, m_cap)
 
 
 @given(volume=st.floats(0.1, 40.0), extra=st.floats(0.01, 50.0))
 def test_radius_gap_is_strict(volume, extra):
-    r_vol, r_cap = radius_bounds(C1, (0.0, 1.0), volume, extra)
+    m_vol, _, m_cap = _measures(C1, (0.0, 1.0), volume, extra)
+    r_vol, r_cap = radius_bounds(C1, m_vol, m_cap)
     assert r_cap is not None
     assert 0.0 < r_vol < r_cap
 
@@ -98,7 +114,8 @@ def test_profile_stays_below_own_radius_cap(radius, amp):
             prof_s = prof
         V = enclosed_volume(space, prof_s)
         A = area(space, prof_s)
-        _, r_cap = radius_bounds(space, (a, b), V, A)
+        m_vol, _, m_cap = _measures(space, (a, b), V, A)
+        _, r_cap = radius_bounds(space, m_vol, m_cap)
         if r_cap is not None:
             assert float(np.max(prof_s.r)) < r_cap
 
@@ -106,21 +123,22 @@ def test_profile_stays_below_own_radius_cap(radius, amp):
 # -- averaged-curvature bound ----------------------------------------------
 
 def test_avg_H_bound_flat_closed_form():
-    assert avg_H_bound(C1, (0.0, 1.0), 0.5, 2.0) == pytest.approx(
+    assert avg_H_bound(C1, _norms(C1, (0.0, 1.0), 0.5, 2.0)) == pytest.approx(
         2.0 + math.pi, rel=1e-14)
 
 
 def test_avg_H_bound_crown_closed_form():
     expect = (1.0 + math.pi / 2.0) / math.tan(0.5) + (math.pi / 2.0 + 2.0)
-    assert avg_H_bound(C2, (1.0, 2.0), 0.5, math.pi / 2.0) == pytest.approx(
-        expect, rel=1e-14)
+    norms = _norms(C2, (1.0, 2.0), 0.5, math.pi / 2.0)
+    assert avg_H_bound(C2, norms) == pytest.approx(expect, rel=1e-14)
 
 
 @given(rho=st.floats(0.2, 0.8), top=st.floats(1.2, 2.6),
        shrink=st.floats(0.0, 0.3))
 def test_avg_H_bound_monotone_in_radius_band(rho, top, shrink):
-    wide = avg_H_bound(C2, (1.0, 2.0), rho, top)
-    narrow = avg_H_bound(C2, (1.0, 2.0), rho + shrink, top - shrink * 0.5)
+    wide = avg_H_bound(C2, _norms(C2, (1.0, 2.0), rho, top))
+    narrow = avg_H_bound(C2, _norms(C2, (1.0, 2.0), rho + shrink,
+                                    top - shrink * 0.5))
     assert narrow <= wide * (1.0 + 1e-12)
 
 
@@ -132,14 +150,15 @@ def test_average_curvature_respects_bound(radius, amp):
     # rectangle nondegenerate when the profile is constant
     lo = float(np.min(prof.r)) * 0.999
     hi = float(np.max(prof.r)) * 1.001
-    assert abs(avg) <= avg_H_bound(C2, (1.0, 2.0), lo, hi) + 1e-12
+    assert abs(avg) <= avg_H_bound(C2, _norms(C2, (1.0, 2.0), lo, hi)) + 1e-12
 
 
 # -- graph-slope estimate --------------------------------------------------
 
 def test_graph_bound_flat_constants():
+    norms = _norms(C1, (0.0, 1.0), 0.5, 2.0)
     curv, rate, decay, source, v_cap = graph_bound(
-        C1, (0.0, 1.0), 0.5, 2.0, math.sqrt(3.0), 1.0)
+        C1, norms, avg_H_bound(C1, norms), math.sqrt(3.0), 1.0)
     assert curv == pytest.approx(4.0, rel=1e-14)
     assert rate == pytest.approx(7.0, rel=1e-14)
     assert decay == pytest.approx(7.0, rel=1e-14)
@@ -153,12 +172,13 @@ def test_graph_bound_flat_constants():
 
 def test_graph_bound_needs_some_radius_cap():
     with pytest.raises(ValueError):
-        graph_bound(C1, (0.0, 1.0), 0.5, 2.0, None, 1.0)
+        graph_bound(C1, _norms(C1, (0.0, 1.0), 0.5, 2.0), 1.0, None, 1.0)
 
 
 def test_graph_bound_uses_far_axis_when_cap_undefined():
+    norms = _norms(C2, (1.0, 2.0), 0.5, 2.0)
     curv, rate, decay, source, v_cap = graph_bound(
-        C2, (1.0, 2.0), 0.5, 2.0, None, 1.0)
+        C2, norms, avg_H_bound(C2, norms), None, 1.0)
     assert all(map(math.isfinite, (curv, rate, decay, source, v_cap)))
     assert rate >= 1.0
 
@@ -174,23 +194,28 @@ def test_slope_constants_saturate_instead_of_overflowing():
 
 # -- long-time area threshold ----------------------------------------------
 
+def _longtime(space, slab, volume, area_):
+    m_vol, s, _ = _measures(space, slab, volume, area_)
+    return longtime_area_check(space, m_vol, s, area_)
+
+
 def test_longtime_thresholds_flat_cylinders():
-    thr, ok = longtime_area_check(C1, (0.0, 1.0), 9.0 * math.pi, 6.0 * math.pi)
+    thr, ok = _longtime(C1, (0.0, 1.0), 9.0 * math.pi, 6.0 * math.pi)
     assert thr == pytest.approx(9.0 * math.pi, rel=1e-14) and ok
-    thr, ok = longtime_area_check(C1, (0.0, 1.0), math.pi, 2.0 * math.pi)
+    thr, ok = _longtime(C1, (0.0, 1.0), math.pi, 2.0 * math.pi)
     assert thr == pytest.approx(math.pi, rel=1e-14) and not ok
 
 
 def test_longtime_zero_volume_never_passes():
-    thr, ok = longtime_area_check(C1, (0.0, 1.0), 0.0, 1.0)
+    thr, ok = _longtime(C1, (0.0, 1.0), 0.0, 1.0)
     assert thr == 0.0 and not ok
 
 
 @given(volume=st.floats(0.5, 20.0), a1=st.floats(0.1, 50.0),
        frac=st.floats(0.1, 1.0))
 def test_longtime_monotone_in_area(volume, a1, frac):
-    thr1, ok1 = longtime_area_check(C1, (0.0, 1.0), volume, a1)
-    thr2, ok2 = longtime_area_check(C1, (0.0, 1.0), volume, a1 * frac)
+    thr1, ok1 = _longtime(C1, (0.0, 1.0), volume, a1)
+    thr2, ok2 = _longtime(C1, (0.0, 1.0), volume, a1 * frac)
     assert thr1 == thr2
     if ok1:
         assert ok2
@@ -198,8 +223,8 @@ def test_longtime_monotone_in_area(volume, a1, frac):
 
 def test_longtime_uses_finite_slab_volume_for_crown():
     V = 14.0 * math.pi / 3.0
-    thr, _ = longtime_area_check(C2, (1.0, 2.0), V, 1.0)
-    vol_g = slab_volume(C2, (1.0, 2.0))
+    thr, _ = _longtime(C2, (1.0, 2.0), V, 1.0)
+    vol_g = slab_volume(C2, slab_f_integral(C2, (1.0, 2.0)))
     # f^-n sup = 1 on [1,2]; integral of f^2 = 7/3
     assert thr == pytest.approx(min(V, vol_g - V) / (7.0 / 3.0), rel=1e-12)
 
@@ -349,7 +374,8 @@ def _monitor_setup(kwargs, slab, area_scale=1.0):
 def _radius_space_cap(space, bset, area):
     """The radius cap as radii: the stricter of the frozen cap, the cap of
     the current area and the zero of h."""
-    _, r_cap_now = radius_bounds(space, bset.slab, bset.volume0, area)
+    _, r_cap_now = radius_bounds(space, bset.vol_measure,
+                                 bset.vol_measure + bset.area_rate * area)
     caps = [c for c in (bset.r_cap, r_cap_now, space.h_zero) if c is not None]
     return min(caps)
 
@@ -406,6 +432,30 @@ def test_radius_cap_check_finds_no_root_on_a_passing_record(monkeypatch):
         assert not report.checks["radius_cap"].passed
         assert counts["inverse"] == 1 and counts["quad"] == 0
         assert counts["brentq"] <= 1
+
+
+@pytest.mark.parametrize("kwargs,slab", [MONITOR_SPACES[i] for i in (0, 1, 5)],
+                         ids=["C1", "C2", "C6"])
+def test_freeze_integrates_f_once_and_takes_sup_norms_once(monkeypatch,
+                                                           kwargs, slab):
+    space, _, summ, bset, area0 = _monitor_setup(kwargs, slab)
+    counts = {"quad": 0, "sup_norms": 0, "ricci": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bounds, "quad", counting("quad", bounds.quad))
+    monkeypatch.setattr(bounds, "sup_norms",
+                        counting("sup_norms", bounds.sup_norms))
+    monkeypatch.setattr(ambient, "ricci_normal_bound",
+                        counting("ricci", ambient.ricci_normal_bound))
+    again = compute_bound_set(space, slab, bset.volume0, area0, bset.r_lo,
+                              bset.r_hi, bset.max_v0)
+    assert counts == {"quad": 1, "sup_norms": 1, "ricci": 1}
+    assert again == bset
 
 
 def test_monitors_flag_area_growth():

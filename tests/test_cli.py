@@ -131,10 +131,11 @@ def test_bounds_reports_frozen_set(tmp_path, capsys):
     assert bset["avg_H_cap"] > 0.0
     assert isinstance(bset["longtime_ok"], bool)
     assert bset["slab_vol"] is None
-    from eqflow.ambient import make_space
+    from eqflow.ambient import Rect, make_space, sup_norms
     from eqflow.bounds import avg_H_bound
-    want = avg_H_bound(make_space("C1"), (0.0, 1.0),
-                       bset["r_lo"], bset["r_hi"])
+    space = make_space("C1")
+    want = avg_H_bound(space, sup_norms(
+        space, Rect(0.0, 1.0, bset["r_lo"], bset["r_hi"])))
     assert bset["avg_H_cap"] == pytest.approx(want, rel=1e-12)
 
 

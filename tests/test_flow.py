@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from eqflow.ambient import make_space
+from eqflow import flow
+from eqflow.ambient import AmbientSpace, make_space
+from eqflow.bounds import dissipation_integral
 from eqflow.curve import GraphProfile, diff, quad_weights
 from eqflow.flow import (SCHEMES, TERMINATIONS, DtPolicy, FlowConfig,
                          FlowRecord, FlowStepError, RecordRow,
-                         averaged_for_step, detect_steady, flow_rhs, run,
-                         step)
-from eqflow.geometry import mean_curvature, principal_curvatures
+                         averaged_for_step, detect_steady, flow_rhs,
+                         initial_bound_set, run, step)
+from eqflow.geometry import graph_slope, mean_curvature, principal_curvatures
 from eqflow.reference_cases import make_initial
 
 FLAT = make_space("C1")
@@ -189,6 +191,92 @@ def test_step_raises_when_state_leaves_band():
     prof = perturbed(radius=0.3, amplitude=0.25)
     with pytest.raises(FlowStepError):
         step(FLAT, prof, 10.0, "explicit_rk4")
+
+
+# ---------------------------------------------------------------- radius band
+
+# Every public entry that takes a graph state, as a call on (space, profile).
+STATE_ENTRIES = {
+    "run": lambda s, p: run(s, p, FlowConfig(T_max=1e-3)),
+    "step_imex": lambda s, p: step(s, p, 1e-6),
+    "step_rk4": lambda s, p: step(s, p, 1e-6, "explicit_rk4"),
+    "averaged_for_step": averaged_for_step,
+    "detect_steady": lambda s, p: detect_steady(s, p, 1e-5),
+    "flow_rhs": lambda s, p: flow_rhs(s, p, 0.0),
+    "initial_bound_set": initial_bound_set,
+    "graph_slope": graph_slope,
+    "dissipation_integral": lambda s, p: dissipation_integral(s, p, 0.0),
+}
+
+
+def _off_band_c2_states():
+    """C2 states leaving the open band (0, pi): max r = 3.3, and r = pi."""
+    z = np.linspace(1.0, 2.0, 65)
+    return {"max_3.3": GraphProfile(1.0, 2.0, 3.2 + 0.1 * np.cos(math.pi * (z - 1.0))),
+            "at_pi": GraphProfile(1.0, 2.0, np.full(65, math.pi))}
+
+
+@pytest.mark.parametrize("state", ["max_3.3", "at_pi"])
+@pytest.mark.parametrize("entry", list(STATE_ENTRIES))
+def test_entries_reject_states_off_the_radius_band(entry, state):
+    prof = _off_band_c2_states()[state]
+    with pytest.raises(ValueError, match="r out of range"):
+        STATE_ENTRIES[entry](SPHERE_BAND, prof)
+
+
+def _count_band_checks(monkeypatch):
+    """Record the radii every check_r and every admits call is given."""
+    seen = {"check_r": [], "admits": []}
+    check_r, admits = AmbientSpace.check_r, AmbientSpace.admits
+
+    def counting_check_r(self, r):
+        seen["check_r"].append(r)
+        return check_r(self, r)
+
+    def counting_admits(self, r):
+        seen["admits"].append(r)
+        return admits(self, r)
+
+    monkeypatch.setattr(AmbientSpace, "check_r", counting_check_r)
+    monkeypatch.setattr(AmbientSpace, "admits", counting_admits)
+    return seen
+
+
+def test_imex_step_checks_its_state_once_and_each_trial_once(monkeypatch):
+    prof = make_initial(SPHERE_BAND, (1.0, 2.0), 64, kind="perturbed",
+                        radius=1.0, amplitude=0.1)
+    seen = _count_band_checks(monkeypatch)
+    volume_sums = []
+    volume_measure = flow._volume_measure
+
+    def counting_volume_measure(g, r):
+        volume_sums.append(r)
+        return volume_measure(g, r)
+
+    monkeypatch.setattr(flow, "_volume_measure", counting_volume_measure)
+    step(SPHERE_BAND, prof, 1e-4)
+    assert len(seen["check_r"]) == 1 and seen["check_r"][0] is prof.r
+    # the entry check tests the state, then every Newton trial is tested
+    # once, right before its volume sum (the first sum is the target's)
+    trials = volume_sums[1:]
+    assert len(trials) >= 1
+    assert len(seen["admits"]) == 1 + len(trials)
+    assert seen["admits"][0] is prof.r
+    assert all(a is t for a, t in zip(seen["admits"][1:], trials))
+
+
+def test_run_band_checks_do_not_grow_with_steps(monkeypatch):
+    prof = make_initial(SPHERE_BAND, (1.0, 2.0), 64, kind="perturbed",
+                        radius=1.0, amplitude=0.1)
+    seen = _count_band_checks(monkeypatch)
+    counts = []
+    for T in (1e-3, 2e-3):
+        seen["check_r"].clear()
+        res = run(SPHERE_BAND, prof, FlowConfig(T_max=T))
+        counts.append((res.steps, len(seen["check_r"])))
+    (steps1, checks1), (steps2, checks2) = counts
+    assert steps2 > steps1 > 0
+    assert checks1 == checks2
 
 
 # ---------------------------------------------------------------- full runs

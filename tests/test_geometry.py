@@ -90,6 +90,12 @@ def test_equatorial_annulus_functionals_closed_form():
         14.0 * math.pi / 3.0, rel=1e-10)
 
 
+def test_enclosed_volume_rejects_radii_off_the_band():
+    for radius in (3.3, math.pi):
+        with pytest.raises(ValueError, match="r out of range"):
+            enclosed_volume(C2, _cylinder(radius, a=1.0, b=2.0))
+
+
 # -- perturbed cylinder spot values ---------------------------------------
 
 def test_perturbed_cylinder_curvatures_at_crest():

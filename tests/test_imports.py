@@ -1,12 +1,16 @@
-"""Every name the package, the scripts and the tests import is used, and
-every script still imports.
+"""Every name the package, the scripts and the tests import is used,
+every private module-level name of the package is referenced, and every
+script still imports.
 
 A static scan of the syntax tree: a name bound by ``import`` or ``from
 ... import`` must appear somewhere else in the module, as a name, as the
 root of an attribute chain, or in ``__all__``.  ``__future__`` imports
-and ``import x as x`` re-exports are exempt.  Each script is also loaded
-and asked for ``--help``, so one that imports a name the package no
-longer has fails here.
+and ``import x as x`` re-exports are exempt.  A module-level ``_name``
+of the package (a function, class or assigned name) must be read
+somewhere in the package, the scripts, the tests or the benchmark, as a
+name, an attribute or an imported name.  Each script is also loaded and
+asked for ``--help``, so one that imports a name the package no longer
+has fails here.
 """
 
 import ast
@@ -16,9 +20,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "eqflow").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
-FILES = sorted([*(ROOT / "src" / "eqflow").glob("*.py"), *SCRIPTS,
-                *(ROOT / "tests").glob("*.py")])
+FILES = sorted([*PACKAGE, *SCRIPTS, *(ROOT / "tests").glob("*.py")])
+READERS = sorted([*FILES, *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,6 +46,65 @@ def unused_imports(source: str) -> list[str]:
             used.update(ast.literal_eval(node.value))
     return [f"line {line}: {name}" for name, line in sorted(imported.items())
             if name not in used]
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Line of each private name a module defines at its top level."""
+    out: dict[str, int] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out.setdefault(name, node.lineno)
+    return out
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads: loaded names, attributes, imported names."""
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def dead_private_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """Private top-level names of ``modules`` (name -> source) that neither
+    they nor ``readers`` (more sources) ever read."""
+    read = set().union(*map(read_names, [*modules.values(), *readers]))
+    return [f"{module} line {line}: {name}"
+            for module, source in sorted(modules.items())
+            for name, line in sorted(private_definitions(source).items())
+            if name not in read]
+
+
+def test_scan_finds_a_dead_private_name():
+    module = ("_A = 1\n_B: int = 2\n__all__ = []\n"
+              "def _f():\n    return _B\nclass _C:\n    pass\n")
+    assert dead_private_names({"m": module}, []) \
+        == ["m line 1: _A", "m line 6: _C", "m line 4: _f"]
+    assert dead_private_names({"m": module}, ["from m import _f, _C\nm._A"]) \
+        == []
+    assert dead_private_names({"m": "_A = 1\n"}, ["_A = 2\n"]) \
+        == ["m line 1: _A"]
+
+
+def test_no_dead_private_names():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    readers = [p.read_text(encoding="utf-8") for p in READERS
+               if p not in PACKAGE]
+    assert dead_private_names(modules, readers) == []
 
 
 def test_scan_finds_an_unused_import():
