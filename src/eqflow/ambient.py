@@ -233,13 +233,6 @@ def make_space(case: str, lam: float | None = None, n: int = 2,
                         h_zero=h_zero, z_domain=z_domain)
 
 
-def eval_fh(space: AmbientSpace, z, r):
-    """Evaluate (f, f', f'', h, h', h'') at (z, r) with domain checks."""
-    space.check_z(z)
-    space.check_r(r)
-    return (*space.f(z), *space.h(r))
-
-
 def curvature_components(space: AmbientSpace, z, r) -> CurvatureComponents:
     """Sectional curvatures of the coordinate 2-planes at (z, r).
 

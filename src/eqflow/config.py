@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .ambient import CASES, AmbientSpace, make_space
 from .curve import GraphProfile
-from .flow import SCHEMES, DtPolicy, FlowConfig
+from .flow import DtPolicy, FlowConfig
 from .reference_cases import make_initial
 
 INITIAL_KINDS = ("cylinder", "perturbed", "custom")
@@ -76,12 +76,10 @@ class RunConfig:
             "initial": ini,
             "flow": {
                 "T_max": self.flow.T_max,
-                "scheme": self.flow.scheme,
                 "eps_cmc": self.flow.eps_cmc,
                 "eps_axis": self.flow.eps_axis,
                 "output_every": self.flow.output_every,
                 "dt_policy": {
-                    "cfl_safety": self.flow.dt.cfl_safety,
                     "dt_max": self.flow.dt.dt_max,
                     "dt_min": self.flow.dt.dt_min,
                 },
@@ -209,17 +207,14 @@ def parse_config(text: str) -> RunConfig:
             radii = tuple(float(v) for v in raw)
 
     flow_d, dt_d = FlowConfig(), DtPolicy()
-    fl = rd.section(doc, "flow", ("T_max", "scheme", "eps_cmc", "eps_axis",
+    fl = rd.section(doc, "flow", ("T_max", "eps_cmc", "eps_axis",
                                   "output_every", "dt_policy"))
     T_max = rd.number(fl, "flow", "T_max", default=flow_d.T_max)
-    scheme = rd.choice(fl, "flow", "scheme", SCHEMES, default=flow_d.scheme)
     eps_cmc = rd.number(fl, "flow", "eps_cmc", default=flow_d.eps_cmc)
     eps_axis = rd.number(fl, "flow", "eps_axis", default=flow_d.eps_axis)
     output_every = rd.integer(fl, "flow", "output_every",
                               default=flow_d.output_every, minimum=1)
-    dp = rd.section(fl, "flow.dt_policy", ("cfl_safety", "dt_max", "dt_min"))
-    cfl = rd.number(dp, "flow.dt_policy", "cfl_safety",
-                    default=dt_d.cfl_safety)
+    dp = rd.section(fl, "flow.dt_policy", ("dt_max", "dt_min"))
     dt_max = rd.number(dp, "flow.dt_policy", "dt_max", default=dt_d.dt_max)
     dt_min = rd.number(dp, "flow.dt_policy", "dt_min", default=dt_d.dt_min)
 
@@ -235,13 +230,12 @@ def parse_config(text: str) -> RunConfig:
     # other errors; each problem they raise starts with the field name
     dt_policy = dt_d
     try:
-        dt_policy = DtPolicy(cfl_safety=cfl, dt_max=dt_max, dt_min=dt_min)
+        dt_policy = DtPolicy(dt_max=dt_max, dt_min=dt_min)
     except ValueError as exc:
         rd.errors.extend(f"flow.dt_policy.{p}" for p in exc.args)
     try:
-        flow_cfg = FlowConfig(T_max=T_max, scheme=scheme, eps_cmc=eps_cmc,
-                              eps_axis=eps_axis, output_every=output_every,
-                              dt=dt_policy)
+        flow_cfg = FlowConfig(T_max=T_max, eps_cmc=eps_cmc, eps_axis=eps_axis,
+                              output_every=output_every, dt=dt_policy)
     except ValueError as exc:
         rd.errors.extend(f"flow.{p}" for p in exc.args)
 

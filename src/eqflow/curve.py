@@ -177,17 +177,6 @@ def curve_derivatives(curve: ParamCurve):
     return (sz(curve.s, 1), sr(curve.s, 1), sz(curve.s, 2), sr(curve.s, 2))
 
 
-def resample(curve: ParamCurve, M: int) -> ParamCurve:
-    """Resample onto M uniform parameter values by cubic interpolation."""
-    if M < 8:
-        raise ValueError(f"need at least 8 samples, got {M}")
-    s = np.linspace(curve.s[0], curve.s[-1], M)
-    sz = CubicSpline(curve.s, curve.z)
-    sr = CubicSpline(curve.s, curve.r)
-    return ParamCurve(s=s, z=sz(s), r=sr(s),
-                      dz=sz(s, 1), dr=sr(s, 1), d2z=sz(s, 2), d2r=sr(s, 2))
-
-
 # -- profile snapshot format ----------------------------------------------
 
 def profile_to_csv(profile: GraphProfile) -> str:
@@ -197,18 +186,3 @@ def profile_to_csv(profile: GraphProfile) -> str:
     for zi, ri in zip(profile.z, profile.r):
         buf.write(f"{zi:.17g},{ri:.17g}\n")
     return buf.getvalue()
-
-
-def profile_from_csv(text: str) -> GraphProfile:
-    """Parse the snapshot format written by :func:`profile_to_csv`."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0].strip() != "z,r":
-        raise ValueError("expected header 'z,r'")
-    data = np.array([[float(p) for p in ln.split(",")] for ln in lines[1:]])
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError("expected two columns")
-    z, r = data[:, 0], data[:, 1]
-    step = np.diff(z)
-    if not np.allclose(step, step[0], rtol=1e-12, atol=1e-12):
-        raise ValueError("nodes are not uniformly spaced")
-    return GraphProfile(a=float(z[0]), b=float(z[-1]), r=r)

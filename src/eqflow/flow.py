@@ -10,24 +10,22 @@ with |c'|^2 = 1 + (f r')^2 and Neumann walls r'(a) = r'(b) = 0.  In the
 continuous flow the average is the Lagrange multiplier that holds the
 enclosed volume fixed.
 
-The default scheme treats the second-derivative term implicitly with its
-coefficient frozen (a tridiagonal solve per step) and everything else
-explicitly.  The update is affine in the average, so each step solves
-for two right-hand sides and picks the multiplier by Newton so that the
-discrete volume of the new state equals the run's initial volume to
-rounding; the state's own average is the Newton start.  Step size is
-controlled by step doubling against a fixed per-step tolerance, under a
-cap at the largest step the dissipation monitor checks.  An explicit
-Runge-Kutta alternative under a parabolic step restriction, driven by
-the pre-step average and not projected, is kept for cross checks.
+Each step treats the second-derivative term implicitly with its
+coefficient frozen (a tridiagonal solve) and everything else explicitly.
+The update is affine in the average, so each step solves for two
+right-hand sides and picks the multiplier by Newton so that the discrete
+volume of the new state equals the run's initial volume to rounding; the
+state's own average is the Newton start.  The step is first order in
+time.  Step size is controlled by step doubling against a fixed per-step
+tolerance, under a cap at the largest step the dissipation monitor
+checks.
 
 The inner loop works on bare radius arrays; profile objects are built
 once per accepted step for records and monitors.  The radii must stay in
 the ambient's open band (0, h_zero): a state entering through a public
 function is checked once, when its ``GraphGrid`` is built, and each
-trial state of a step (a Newton iterate, an RK4 stage, the RK4 result)
-is tested once with ``AmbientSpace.admits``; an inadmissible trial
-rejects the attempt.
+trial state of a step (a Newton iterate) is tested once with
+``AmbientSpace.admits``; an inadmissible trial rejects the attempt.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ MAX_RETRIES = 60
 NEWTON_MAX = 6
 NEWTON_RTOL = 1e-15
 
-SCHEMES = ("imex", "explicit_rk4")
 TERMINATIONS = ("reached_T", "steady", "singular_axis", "step_failure")
 
 
@@ -65,32 +62,24 @@ def _reject(problems: list[str]) -> None:
 
 @dataclass(frozen=True)
 class DtPolicy:
-    cfl_safety: float = 0.5
     dt_max: float = MONITOR_DT_MAX
     dt_min: float = 1e-12
 
     def __post_init__(self):
-        problems = []
-        if not 0.0 < self.cfl_safety < math.inf:
-            problems.append("cfl_safety: must be positive and finite")
         if not 0.0 < self.dt_min <= self.dt_max < math.inf:
-            problems.append("dt_min: need 0 < dt_min <= dt_max < inf")
-        _reject(problems)
+            raise ValueError("dt_min: need 0 < dt_min <= dt_max < inf")
 
 
 @dataclass(frozen=True)
 class FlowConfig:
     T_max: float = 2.0
     dt: DtPolicy = field(default_factory=DtPolicy)
-    scheme: str = "imex"
     eps_cmc: float = 1e-5
     eps_axis: float = 1e-3
     output_every: int = 1
 
     def __post_init__(self):
         problems = []
-        if self.scheme not in SCHEMES:
-            problems.append(f"scheme: unknown scheme {self.scheme!r}")
         if not 0.0 < self.T_max < math.inf:
             problems.append("T_max: must be positive and finite")
         for name in ("eps_cmc", "eps_axis"):
@@ -201,32 +190,6 @@ def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
     return None
 
 
-def _rk4_update(g: GraphGrid, r: np.ndarray, dt: float,
-                avg_H: float) -> np.ndarray | None:
-    def slope(radii):
-        if not g.space.admits(radii):
-            return None
-        t = graph_terms(g, radii)
-        return t.local + avg_H * t.speed / g.f
-
-    k1 = slope(r)
-    if k1 is None:
-        return None
-    k2 = slope(r + 0.5 * dt * k1)
-    if k2 is None:
-        return None
-    k3 = slope(r + 0.5 * dt * k2)
-    if k3 is None:
-        return None
-    k4 = slope(r + dt * k3)
-    if k4 is None:
-        return None
-    r_new = r + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not g.space.admits(r_new):
-        return None
-    return r_new
-
-
 def flow_rhs(space: AmbientSpace, profile: GraphProfile,
              avg_H: float) -> np.ndarray:
     """Pointwise time derivative of the radii for a given average."""
@@ -237,7 +200,7 @@ def flow_rhs(space: AmbientSpace, profile: GraphProfile,
 
 def averaged_for_step(space: AmbientSpace, profile: GraphProfile) -> float:
     """The state's average: the Newton start of the volume multiplier of
-    an IMEX step from this state, and the average driving an RK4 step."""
+    a step from this state."""
     return _light_eval(GraphGrid(space, profile), profile.r).avg_H
 
 
@@ -249,21 +212,14 @@ def detect_steady(space: AmbientSpace, profile: GraphProfile,
     return _full_eval(GraphGrid(space, profile), profile.r).sup_dev <= eps
 
 
-def step(space: AmbientSpace, profile: GraphProfile, dt: float,
-         scheme: str = "imex") -> GraphProfile:
-    """One update of the given scheme; raises FlowStepError when the
-    proposed state leaves the admissible radius band.  The IMEX update
-    keeps the discrete volume of ``profile`` to rounding (and raises
-    FlowStepError when its multiplier is not found); the RK4 update is
-    driven by the pre-step average."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
+def step(space: AmbientSpace, profile: GraphProfile,
+         dt: float) -> GraphProfile:
+    """One IMEX update of size ``dt`` that keeps the discrete volume of
+    ``profile`` to rounding; raises FlowStepError when a trial state
+    leaves the admissible radius band or the multiplier is not found."""
     g = GraphGrid(space, profile)
-    ev = _light_eval(g, profile.r)
-    if scheme == "imex":
-        r_new = _imex_update(g, ev, dt, _volume_measure(g, profile.r))
-    else:
-        r_new = _rk4_update(g, profile.r, dt, ev.avg_H)
+    r_new = _imex_update(g, _light_eval(g, profile.r), dt,
+                         _volume_measure(g, profile.r))
     if r_new is None:
         raise FlowStepError("update left the admissible radius band")
     return profile.with_radii(r_new)
@@ -356,11 +312,10 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
     eps_axis of the axis, or max r within eps_axis of the far axis), and
     ``step_failure`` (no admissible step above dt_min).
 
-    Every IMEX step conserves the discrete volume of the initial state to
+    Every step conserves the discrete volume of the initial state to
     rounding: its multiplier is solved for per update and not recorded.
     The recorded ``avgH`` column is the state's own average, which is
-    also the Newton start of the step from that state and, for RK4, the
-    average that drives it.
+    also the Newton start of the step from that state.
 
     Monitors run at every recorded state; the frozen bound set is
     re-derived (with fresh 1% margins and the initial area) whenever the
@@ -426,43 +381,29 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
             result.termination = "reached_T"
             break
 
-        if config.scheme == "explicit_rk4":
-            dt_next = config.dt.cfl_safety * g.dz ** 2 \
-                * float(np.min(ev.terms.speed2))
-            dt_next = min(dt_next, config.dt.dt_max)
         dt = min(dt_next, config.T_max - t)
 
         accepted = None
         for _ in range(MAX_RETRIES):
-            if config.scheme == "imex":
-                full = _imex_update(g, ev, dt, target)
-                half = _imex_update(g, ev, dt / 2.0, target)
-                if half is not None:
-                    ev_mid = _light_eval(g, half)
-                    half = _imex_update(g, ev_mid, dt / 2.0, target)
-                if full is None or half is None:
-                    err = math.inf
-                else:
-                    err = float(np.max(np.abs(full - half)))
-                if err <= STEP_TOL:
-                    accepted = half
-                    grow = 2.0 if err == 0.0 else min(
-                        2.0, 0.9 * math.sqrt(STEP_TOL / err))
-                    dt_next = min(config.dt.dt_max, dt * grow)
-                    break
-                if dt <= config.dt.dt_min:
-                    break
-                shrink = 0.5 if not math.isfinite(err) else max(
-                    0.1, min(0.5, 0.9 * math.sqrt(STEP_TOL / err)))
-                dt = max(dt * shrink, config.dt.dt_min)
+            full = _imex_update(g, ev, dt, target)
+            half = _imex_update(g, ev, dt / 2.0, target)
+            if half is not None:
+                half = _imex_update(g, _light_eval(g, half), dt / 2.0, target)
+            if full is None or half is None:
+                err = math.inf
             else:
-                proposal = _rk4_update(g, ev.r, dt, ev.avg_H)
-                if proposal is not None:
-                    accepted = proposal
-                    break
-                if dt <= config.dt.dt_min:
-                    break
-                dt = max(dt / 2.0, config.dt.dt_min)
+                err = float(np.max(np.abs(full - half)))
+            if err <= STEP_TOL:
+                accepted = half
+                grow = 2.0 if err == 0.0 else min(
+                    2.0, 0.9 * math.sqrt(STEP_TOL / err))
+                dt_next = min(config.dt.dt_max, dt * grow)
+                break
+            if dt <= config.dt.dt_min:
+                break
+            shrink = 0.5 if not math.isfinite(err) else max(
+                0.1, min(0.5, 0.9 * math.sqrt(STEP_TOL / err)))
+            dt = max(dt * shrink, config.dt.dt_min)
 
         if accepted is None:
             result.termination = "step_failure"

@@ -31,7 +31,7 @@ def unit_sphere_volume(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _curve_arrays(space: AmbientSpace, curve):
+def _curve_arrays(curve):
     """Return (s, z, r, dz, dr, d2z, d2r) for either curve representation."""
     if isinstance(curve, GraphProfile):
         z = curve.z
@@ -44,19 +44,56 @@ def _curve_arrays(space: AmbientSpace, curve):
     raise TypeError(f"expected GraphProfile or ParamCurve, got {type(curve)!r}")
 
 
-def principal_curvatures(space: AmbientSpace, curve) -> tuple[np.ndarray, np.ndarray]:
-    """Normal curvatures (k1, k2) at every sample of the curve."""
-    s, z, r, dz, dr, d2z, d2r = _curve_arrays(space, curve)
+@dataclass(frozen=True)
+class _CurveEval:
+    """One evaluation of a curve in its ambient along the parametric
+    route: the curve arrays of :func:`_curve_arrays`, f, f', h, h' on
+    them and the speed |c'| = hypot(z', f r')."""
+
+    s: np.ndarray
+    z: np.ndarray
+    r: np.ndarray
+    dz: np.ndarray
+    dr: np.ndarray
+    d2z: np.ndarray
+    d2r: np.ndarray
+    f: np.ndarray
+    fp: np.ndarray
+    h: np.ndarray
+    hp: np.ndarray
+    speed: np.ndarray
+
+
+def _evaluate(space: AmbientSpace, curve) -> _CurveEval:
+    """Check the curve against the ambient's domain and evaluate the
+    warping functions on it, once for every quantity a caller derives."""
+    s, z, r, dz, dr, d2z, d2r = _curve_arrays(curve)
     space.check_z(z)
     space.check_r(r)
     f, fp, _ = space.f(z)
     h, hp, _ = space.h(r)
-    speed = np.hypot(dz, f * dr)
-    if np.any(speed == 0.0):
+    return _CurveEval(s=s, z=z, r=r, dz=dz, dr=dr, d2z=d2z, d2r=d2r, f=f,
+                      fp=fp, h=h, hp=hp, speed=np.hypot(dz, f * dr))
+
+
+def _curvatures(e: _CurveEval) -> tuple[np.ndarray, np.ndarray]:
+    if np.any(e.speed == 0.0):
         raise ValueError("curve is not regular: zero speed sample")
-    k1 = -((d2r * f * dz - d2z * f * dr + dr * fp * dz**2) / speed**2 + fp * dr) / speed
-    k2 = (hp * dz / (h * f) - fp * dr) / speed
+    f, fp, dz, dr, speed = e.f, e.fp, e.dz, e.dr, e.speed
+    k1 = -((e.d2r * f * dz - e.d2z * f * dr + dr * fp * dz**2) / speed**2
+           + fp * dr) / speed
+    k2 = (e.hp * dz / (e.h * f) - fp * dr) / speed
     return k1, k2
+
+
+def _area_element(e: _CurveEval, n: int) -> np.ndarray:
+    """The area element against ds without the unit-sphere factor."""
+    return e.speed * e.f ** (n - 1) * e.h ** (n - 1)
+
+
+def principal_curvatures(space: AmbientSpace, curve) -> tuple[np.ndarray, np.ndarray]:
+    """Normal curvatures (k1, k2) at every sample of the curve."""
+    return _curvatures(_evaluate(space, curve))
 
 
 def mean_curvature(k1: np.ndarray, k2: np.ndarray, n: int) -> np.ndarray:
@@ -138,45 +175,32 @@ def graph_terms(grid: GraphGrid, r: np.ndarray) -> GraphTerms:
                       elem=speed * gdens, local=local)
 
 
-def graph_slope(space: AmbientSpace, profile: GraphProfile):
-    """Graph quantities (u, v, speed): u = f/speed, v = speed/f.
-
-    v >= 1/f always, with equality exactly at critical points of r; finite
-    v is the graph condition.
-    """
-    grid = GraphGrid(space, profile)
-    speed = graph_terms(grid, profile.r).speed
-    return grid.f / speed, speed / grid.f, speed
-
-
-def _area_element(space: AmbientSpace, curve):
-    s, z, r, dz, dr, _, _ = _curve_arrays(space, curve)
-    f = space.f(z)[0]
-    h = space.h(r)[0]
-    speed = np.hypot(dz, f * dr)
-    return s, speed * f ** (space.n - 1) * h ** (space.n - 1)
-
-
 def area(space: AmbientSpace, curve, rule: str = "trapezoid") -> float:
     """Hypersurface area by quadrature of the rotational area element."""
-    s, elem = _area_element(space, curve)
-    return unit_sphere_volume(space.n) * quadrature(elem, x=s, rule=rule)
+    e = _evaluate(space, curve)
+    return unit_sphere_volume(space.n) * quadrature(
+        _area_element(e, space.n), x=e.s, rule=rule)
+
+
+def _volume(space: AmbientSpace, z, f, r, rule: str) -> float:
+    """Enclosed volume of a graph from f on its nodes and admitted radii."""
+    vals = f ** space.n * radial_measure(space, r)
+    return unit_sphere_volume(space.n) * quadrature(vals, x=z, rule=rule)
 
 
 def enclosed_volume(space: AmbientSpace, profile: GraphProfile,
                     rule: str = "trapezoid") -> float:
     """Volume enclosed between the hypersurface and the axis r = 0."""
     space.check_r(profile.r)
-    f = space.f(profile.z)[0]
-    vals = f ** space.n * radial_measure(space, profile.r)
-    return unit_sphere_volume(space.n) * quadrature(vals, x=profile.z, rule=rule)
+    return _volume(space, profile.z, space.f(profile.z)[0], profile.r, rule)
 
 
 def averaged_H_direct(space: AmbientSpace, curve, rule: str = "trapezoid") -> float:
     """Area-weighted average of H, by direct quadrature of H d(area)."""
-    k1, k2 = principal_curvatures(space, curve)
+    e = _evaluate(space, curve)
+    k1, k2 = _curvatures(e)
     H = mean_curvature(k1, k2, space.n)
-    s, elem = _area_element(space, curve)
+    s, elem = e.s, _area_element(e, space.n)
     denom = quadrature(elem, x=s, rule=rule)
     if denom <= 0.0 or not np.isfinite(denom):
         raise ValueError(f"degenerate area {denom}")
@@ -194,11 +218,8 @@ def averaged_H_by_parts(space: AmbientSpace, curve: ParamCurve,
     The angle is accumulated continuously along the curve (atan2 plus
     unwrapping), so full windings contribute through the boundary term.
     """
-    s, z, r, dz, dr, _, _ = _curve_arrays(space, curve)
-    space.check_z(z)
-    space.check_r(r)
-    f, fp, _ = space.f(z)
-    h, hp, _ = space.h(r)
+    e = _evaluate(space, curve)
+    s, dz, dr, f, fp, h, hp = e.s, e.dz, e.dr, e.f, e.fp, e.h, e.hp
     n = space.n
     dr_scale = float(np.max(np.abs(dr)))
     if dr_scale > 0.0 and max(abs(dr[0]), abs(dr[-1])) > endpoint_tol * dr_scale:
@@ -212,13 +233,18 @@ def averaged_H_by_parts(space: AmbientSpace, curve: ParamCurve,
         x=s, rule=rule)
     i2 = quadrature(((n - 1) * hp * dz / (h * f) - n * fp * dr) * f ** (n - 1) * h ** (n - 1),
                     x=s, rule=rule)
-    denom = quadrature(np.hypot(dz, f * dr) * fh_pow, x=s, rule=rule)
+    denom = quadrature(e.speed * fh_pow, x=s, rule=rule)
     return (i1 + i2) / denom
 
 
 @dataclass(frozen=True)
 class GeometrySummary:
-    """Per-node curvature data plus the scalar functionals of one state."""
+    """Per-node curvature data plus the scalar functionals of one state.
+
+    The graph quantities are u = f/speed and v = speed/f: v >= 1/f
+    always, with equality exactly at critical points of r, and finite v
+    is the graph condition.
+    """
 
     k1: np.ndarray
     k2: np.ndarray
@@ -235,27 +261,20 @@ class GeometrySummary:
 
 def summarize(space: AmbientSpace, profile: GraphProfile,
               rule: str = "trapezoid") -> GeometrySummary:
-    """All geometric diagnostics of a graph state in one pass."""
-    k1, k2 = principal_curvatures(space, profile)
-    H = mean_curvature(k1, k2, space.n)
-    u, v, speed = graph_slope(space, profile)
-    s, elem = _area_element(space, profile)
-    omega = unit_sphere_volume(space.n)
-    denom = quadrature(elem, x=s, rule=rule)
+    """All geometric diagnostics of a graph state from one evaluation of
+    the warping functions on it."""
+    e = _evaluate(space, profile)
+    n = space.n
+    k1, k2 = _curvatures(e)
+    H = mean_curvature(k1, k2, n)
+    elem = _area_element(e, n)
+    omega = unit_sphere_volume(n)
+    denom = quadrature(elem, x=e.s, rule=rule)
     return GeometrySummary(
-        k1=k1, k2=k2, H=H, u=u, v=v, speed=speed,
-        L_norm=weingarten_norm(k1, k2, space.n),
+        k1=k1, k2=k2, H=H, u=e.f / e.speed, v=e.speed / e.f, speed=e.speed,
+        L_norm=weingarten_norm(k1, k2, n),
         area=omega * denom,
-        volume=enclosed_volume(space, profile, rule=rule),
-        avg_H=quadrature(H * elem, x=s, rule=rule) / denom,
+        volume=_volume(space, e.z, e.f, e.r, rule),
+        avg_H=quadrature(H * elem, x=e.s, rule=rule) / denom,
         sphere_volume=omega,
     )
-
-
-def summary_table(space: AmbientSpace, profile: GraphProfile,
-                  summary: GeometrySummary) -> str:
-    """Per-node CSV table ``z,r,k1,k2,H,v``."""
-    rows = ["z,r,k1,k2,H,v"]
-    for vals in zip(profile.z, profile.r, summary.k1, summary.k2, summary.H, summary.v):
-        rows.append(",".join(f"{x:.17g}" for x in vals))
-    return "\n".join(rows) + "\n"

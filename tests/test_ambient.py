@@ -11,7 +11,6 @@ from eqflow.ambient import (
     SUP_NORM_KEYS,
     Rect,
     curvature_components,
-    eval_fh,
     make_space,
     radial_measure,
     radial_measure_inverse,
@@ -94,7 +93,8 @@ def test_mismatched_variant_is_not_space_form():
 
 def test_eval_crown_at_quarter_turn():
     sp = make_space("C2", n=2)
-    f, fp, fpp, h, hp, hpp = eval_fh(sp, 2.0, math.pi / 2)
+    f, fp, fpp = sp.f(2.0)
+    h, hp, hpp = sp.h(math.pi / 2)
     assert (f, fp, fpp) == (2.0, 1.0, 0.0)
     assert h == pytest.approx(1.0, abs=1e-15)
     assert hp == pytest.approx(0.0, abs=1e-15)
@@ -103,24 +103,17 @@ def test_eval_crown_at_quarter_turn():
 
 def test_eval_flat_anywhere():
     sp = make_space("C1", n=2)
-    assert eval_fh(sp, -3.7, 1.25) == (1.0, 0.0, 0.0, 1.25, 1.0, 0.0)
+    assert (*sp.f(-3.7), *sp.h(1.25)) == (1.0, 0.0, 0.0, 1.25, 1.0, 0.0)
 
 
 def test_eval_equidistant_family_at_origin():
     sp = make_space("C3", lam=-1.0, n=2)
-    f, fp, fpp, h, hp, hpp = eval_fh(sp, 0.0, 0.7)
+    f, fp, fpp = sp.f(0.0)
+    h, hp, hpp = sp.h(0.7)
     assert (f, fp, fpp) == (1.0, 0.0, 1.0)
     assert h == pytest.approx(math.sinh(0.7), rel=1e-15)
     assert hp == pytest.approx(math.cosh(0.7), rel=1e-15)
     assert hpp == pytest.approx(math.sinh(0.7), rel=1e-15)
-
-
-def test_eval_rejects_z_outside_domain():
-    sp = make_space("C2", n=2)
-    with pytest.raises(ValueError):
-        eval_fh(sp, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        eval_fh(sp, 1.0, 4.0)
 
 
 # -- curvature -------------------------------------------------------------
@@ -168,6 +161,8 @@ def test_curvature_rejects_degenerate_radius():
         curvature_components(sp, 1.5, 0.0)
     with pytest.raises(ValueError):
         curvature_components(sp, 1.5, math.pi)
+    with pytest.raises(ValueError):
+        curvature_components(sp, -1.0, 0.5)
 
 
 @pytest.mark.parametrize("case,lam,z_win,r_win", IDENTITY_WINDOWS)

@@ -26,7 +26,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.n == 2
     assert cfg.slab == (0.0, 1.0)
     assert cfg.N == 400
-    assert cfg.flow.scheme == "imex"
     assert cfg.flow.eps_cmc == 1e-5
     assert cfg.flow.eps_axis == 1e-3
     assert cfg.flow.T_max == 2.0
@@ -124,6 +123,26 @@ def test_bad_value_names_its_dotted_path(section, key, value, path):
     assert [msg.split(":")[0] for msg in err.value.errors] == [path]
 
 
+@pytest.mark.parametrize("section,key", [("flow", "scheme"),
+                                         ("flow.dt_policy", "cfl_safety")])
+def test_removed_integrator_keys_are_unknown(section, key, tmp_path, capsys):
+    # the flow has one integrator, so its old selector and CFL factor
+    # are rejected like any other key the schema does not know
+    doc = json.loads(MINIMAL)
+    sub = doc
+    for part in section.split("."):
+        sub = sub.setdefault(part, {})
+    sub[key] = "imex" if key == "scheme" else 0.5
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == [f"{section}.{key}: unknown key"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert f"{section}.{key}: unknown key" in capsys.readouterr().err
+
+
 def test_invalid_json_reports_cleanly():
     with pytest.raises(ConfigError) as err:
         parse_config("{not json")
@@ -139,7 +158,7 @@ def test_round_trip_is_identity():
         "grid": {"N": 120},
         "initial": {"kind": "perturbed", "radius": 0.8,
                     "amplitude": 0.1, "mode": 2},
-        "flow": {"T_max": 0.25, "scheme": "explicit_rk4", "eps_cmc": 1e-6,
+        "flow": {"T_max": 0.25, "eps_cmc": 1e-6,
                  "dt_policy": {"dt_max": 1e-5}},
         "output": {"dir": "out", "snapshot_every": 10},
     }

@@ -1,5 +1,6 @@
-"""Discrete curve calculus: stencils, quadrature, resampling, snapshots."""
+"""Discrete curve calculus: stencils, quadrature, snapshots."""
 
+import io
 import math
 
 import numpy as np
@@ -12,11 +13,9 @@ from eqflow.curve import (
     GraphProfile,
     ParamCurve,
     diff,
-    profile_from_csv,
     profile_to_csv,
     quad_weights,
     quadrature,
-    resample,
 )
 
 radii_arrays = arrays(np.float64, st.integers(9, 40),
@@ -163,59 +162,14 @@ def test_quadrature_argument_errors():
         quadrature(np.ones(1), dx=0.1)
 
 
-# -- resampling ------------------------------------------------------------
-
-def test_resample_straight_segment_is_exact():
-    s = np.linspace(0.0, 2.0, 30)
-    line = ParamCurve(s=s, z=0.5 + 1.5 * s, r=1.0 + 0.25 * s)
-    out = resample(line, 100)
-    t = np.linspace(0.0, 2.0, 100)
-    assert np.allclose(out.z, 0.5 + 1.5 * t, atol=1e-12)
-    assert np.allclose(out.r, 1.0 + 0.25 * t, atol=1e-12)
-    assert np.allclose(out.dr, 0.25, atol=1e-12)
-
-
-def test_resample_preserves_length():
-    s = np.linspace(0.0, 3.0, 300)
-    curve = ParamCurve(s=s, z=s, r=2.0 + np.sin(s))
-
-    def length(c):
-        dz = np.gradient(c.z, c.s)
-        dr = np.gradient(c.r, c.s)
-        return quadrature(np.hypot(dz, dr), x=c.s)
-
-    ref = length(resample(curve, 20000))
-    val = length(resample(curve, 2000))
-    assert abs(val - ref) / ref <= 1e-6
-
-
-def test_resample_rejects_tiny_target():
-    s = np.linspace(0.0, 1.0, 20)
-    curve = ParamCurve(s=s, z=s, r=np.ones_like(s))
-    with pytest.raises(ValueError):
-        resample(curve, 4)
-
-
 # -- snapshot format -------------------------------------------------------
 
 def test_profile_csv_round_trip_is_exact():
     rng = np.random.default_rng(3)
     p = GraphProfile(-0.25, 1.75, rng.uniform(0.5, 2.5, 33))
-    q = profile_from_csv(profile_to_csv(p))
-    assert q.a == p.a and q.b == p.b
-    assert np.array_equal(q.r, p.r)
-
-
-def test_profile_csv_header_and_shape_checks():
-    with pytest.raises(ValueError):
-        profile_from_csv("x,y\n0,1\n")
-    good = profile_to_csv(_profile(np.full(11, 1.0)))
-    with pytest.raises(ValueError):
-        profile_from_csv(good.replace("z,r", "z,r,extra"))
-
-
-def test_profile_csv_rejects_nonuniform_nodes():
-    lines = ["z,r"] + [f"{z},1.0" for z in
-                       [0.0, 0.1, 0.2, 0.35, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]]
-    with pytest.raises(ValueError):
-        profile_from_csv("\n".join(lines))
+    text = profile_to_csv(p)
+    assert text.startswith("z,r\n")
+    z, r = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1,
+                      unpack=True)
+    assert np.array_equal(z, p.z)
+    assert np.array_equal(r, p.r)

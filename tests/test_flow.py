@@ -1,4 +1,4 @@
-"""Time stepping: right-hand side identities, schemes, and full runs."""
+"""Time stepping: right-hand side identities, single steps, and full runs."""
 
 import math
 
@@ -9,11 +9,11 @@ from eqflow import flow
 from eqflow.ambient import AmbientSpace, make_space
 from eqflow.bounds import dissipation_integral
 from eqflow.curve import GraphProfile, diff, quad_weights
-from eqflow.flow import (SCHEMES, TERMINATIONS, DtPolicy, FlowConfig,
+from eqflow.flow import (TERMINATIONS, DtPolicy, FlowConfig,
                          FlowRecord, FlowStepError, RecordRow,
                          averaged_for_step, detect_steady, flow_rhs,
                          initial_bound_set, run, step)
-from eqflow.geometry import graph_slope, mean_curvature, principal_curvatures
+from eqflow.geometry import mean_curvature, principal_curvatures, summarize
 from eqflow.reference_cases import make_initial
 
 FLAT = make_space("C1")
@@ -153,25 +153,61 @@ def test_detect_steady_rejects_perturbed_state():
 # ---------------------------------------------------------------- single steps
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_step_preserves_cylinder(scheme):
-    prof = cylinder()
-    out = step(FLAT, prof, 1e-3 if scheme == "imex" else 1e-6, scheme)
+def test_step_preserves_cylinder():
+    out = step(FLAT, cylinder(), 1e-3)
     assert np.max(np.abs(out.r - 1.0)) <= 1e-12
 
 
-def test_step_schemes_agree_for_small_dt():
-    prof = perturbed()
-    dt = 1e-6
-    a = step(FLAT, prof, dt, "imex")
-    b = step(FLAT, prof, dt, "explicit_rk4")
-    assert np.max(np.abs(a.r - b.r)) <= 1e-8
+# Perturbed starts on a flat, a crown and a spherical slab, N = 100.
+ORDER_STARTS = {
+    "C1": (FLAT, (0.0, 1.0)),
+    "C2": (SPHERE_BAND, (1.0, 2.0)),
+    "C6": (make_space("C6", lam=1.0), (-0.5, 0.5)),
+}
+
+
+def _order_start(case):
+    space, slab = ORDER_STARTS[case]
+    return space, make_initial(space, slab, 100, kind="perturbed",
+                               radius=1.0, amplitude=0.1)
+
+
+@pytest.mark.parametrize("case", list(ORDER_STARTS))
+def test_step_is_consistent_with_rhs(case):
+    # a step differs from forward Euler on flow_rhs, driven by the
+    # state's average, only at second order in dt: the implicit part
+    # and the volume multiplier each move r by O(dt^2)
+    space, prof = _order_start(case)
+    avg = averaged_for_step(space, prof)
+    gaps = []
+    for dt in (1e-5, 1e-6):
+        euler = prof.r + dt * flow_rhs(space, prof, avg)
+        gaps.append(np.max(np.abs(step(space, prof, dt).r - euler)))
+    assert gaps[1] <= 1e-8
+    assert gaps[0] / gaps[1] >= 50.0
+
+
+@pytest.mark.parametrize("case", list(ORDER_STARTS))
+def test_fixed_dt_self_convergence_is_first_order(case):
+    # states at T from 20, 40, 80 and 160 equal steps: for a method of
+    # order p each halving of dt shrinks the successive differences 2^p-fold
+    space, prof = _order_start(case)
+    T = 2e-3
+    ends = []
+    for m in (20, 40, 80, 160):
+        p = prof
+        for _ in range(m):
+            p = step(space, p, T / m)
+        ends.append(p.r)
+    diffs = [np.max(np.abs(b - a)) for a, b in zip(ends, ends[1:])]
+    slopes = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+    assert all(0.9 <= s <= 1.1 for s in slopes), slopes
 
 
 def test_step_keeps_discrete_wall_slopes_flat():
     prof = perturbed()
     for _ in range(20):
-        prof = step(FLAT, prof, 1e-5, "imex")
+        prof = step(FLAT, prof, 1e-5)
     rdot, _ = diff(prof)
     assert rdot[0] == 0.0 and rdot[-1] == 0.0
     for k in (0, -1):
@@ -181,16 +217,10 @@ def test_step_keeps_discrete_wall_slopes_flat():
         assert one_sided <= 5e-3
 
 
-def test_step_rejects_bad_scheme_and_mode():
-    prof = cylinder()
-    with pytest.raises(ValueError):
-        step(FLAT, prof, 1e-6, scheme="crank_nicolson")
-
-
 def test_step_raises_when_state_leaves_band():
     prof = perturbed(radius=0.3, amplitude=0.25)
     with pytest.raises(FlowStepError):
-        step(FLAT, prof, 10.0, "explicit_rk4")
+        step(FLAT, prof, 10.0)
 
 
 # ---------------------------------------------------------------- radius band
@@ -199,12 +229,11 @@ def test_step_raises_when_state_leaves_band():
 STATE_ENTRIES = {
     "run": lambda s, p: run(s, p, FlowConfig(T_max=1e-3)),
     "step_imex": lambda s, p: step(s, p, 1e-6),
-    "step_rk4": lambda s, p: step(s, p, 1e-6, "explicit_rk4"),
     "averaged_for_step": averaged_for_step,
     "detect_steady": lambda s, p: detect_steady(s, p, 1e-5),
     "flow_rhs": lambda s, p: flow_rhs(s, p, 0.0),
     "initial_bound_set": initial_bound_set,
-    "graph_slope": graph_slope,
+    "summarize": summarize,
     "dissipation_integral": lambda s, p: dissipation_integral(s, p, 0.0),
 }
 
@@ -360,8 +389,6 @@ def test_run_reports_step_failure_when_dt_is_pinned_too_large():
 
 
 def test_flow_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig(scheme="leapfrog")
     with pytest.raises(ValueError):
         FlowConfig(T_max=0.0)
     with pytest.raises(ValueError):

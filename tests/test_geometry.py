@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eqflow.ambient import make_space
+from eqflow.ambient import AmbientSpace, make_space
 from eqflow.curve import GraphProfile, ParamCurve
 from eqflow.geometry import (
     area,
     averaged_H_by_parts,
     averaged_H_direct,
     enclosed_volume,
-    graph_slope,
     mean_curvature,
     principal_curvatures,
     summarize,
-    summary_table,
     unit_sphere_volume,
     weingarten_norm,
 )
@@ -115,7 +113,7 @@ def test_perturbed_cylinder_curvatures_at_crest():
 
 def test_perturbed_cylinder_slope_at_midpoint():
     prof = _perturbed_profile(N=200)
-    _, v, _ = graph_slope(C1, prof)
+    v = summarize(C1, prof).v
     # midpoint node; discrete slope differs from the exact one by O(dz^2)
     assert v[100] == pytest.approx(math.sqrt(1.0 + 0.01 * math.pi**2),
                                    abs=2e-5)
@@ -123,7 +121,7 @@ def test_perturbed_cylinder_slope_at_midpoint():
 
 def test_graph_slope_constant_latitude():
     prof = _cylinder(radius=1.0, a=1.0, b=2.0)
-    _, v, _ = graph_slope(C2, prof)
+    v = summarize(C2, prof).v
     assert np.allclose(v, 1.0 / prof.z, rtol=1e-14)
 
 
@@ -142,7 +140,7 @@ def test_slope_lower_bound_with_equality_at_critical_points():
     rdot = np.empty(65)
     rdot[1:-1] = (prof.r[2:] - prof.r[:-2])
     rdot[0] = rdot[-1] = 0.0
-    _, v, _ = graph_slope(C1, prof)
+    v = summarize(C1, prof).v
     f = C1.f(prof.z)[0]
     at_critical = rdot == 0.0
     assert np.allclose(v[at_critical], 1.0 / f[at_critical], rtol=1e-15)
@@ -251,11 +249,26 @@ def test_summary_is_consistent_with_parts():
     assert np.all(summ.v >= 1.0 / C1.f(prof.z)[0] - 1e-15)
 
 
-def test_summary_table_layout():
-    prof = _perturbed_profile(N=16)
-    text = summary_table(C1, prof, summarize(C1, prof))
-    lines = text.strip().split("\n")
-    assert lines[0] == "z,r,k1,k2,H,v"
-    assert len(lines) == 18
-    first = [float(p) for p in lines[1].split(",")]
-    assert first[0] == 0.0 and first[1] == pytest.approx(1.1, rel=1e-15)
+@pytest.mark.parametrize("space,slab", [
+    (C1, (0.0, 1.0)),
+    (C2, (1.0, 2.0)),
+    (make_space("C6", lam=1.0), (-0.5, 0.5)),
+])
+def test_summary_evaluates_the_state_once(monkeypatch, space, slab):
+    z = np.linspace(slab[0], slab[1], 65)
+    prof = GraphProfile(slab[0], slab[1],
+                        1.0 + 0.1 * np.cos(math.pi * (z - slab[0])))
+    counts = {"f": 0, "h": 0, "check_r": 0}
+
+    def counting(name):
+        fn = getattr(AmbientSpace, name)
+
+        def wrapper(self, *args):
+            counts[name] += 1
+            return fn(self, *args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(AmbientSpace, name, counting(name))
+    summarize(space, prof)
+    assert counts == {"f": 1, "h": 1, "check_r": 1}
