@@ -89,6 +89,7 @@ def cmd_run(args) -> int:
         "monitor_failures": result.monitor_failures,
         "dissipation_checked": result.dissipation_checked,
         "dissipation_worst": result.dissipation_worst,
+        "stats": result.stats,
         "bound_set": result.bound_set.to_json_dict(),
         "config": cfg.to_json_dict(),
     }

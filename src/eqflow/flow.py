@@ -10,13 +10,18 @@ with |c'|^2 = 1 + (f r')^2 and Neumann walls r'(a) = r'(b) = 0.  In the
 continuous flow the average is the Lagrange multiplier that holds the
 enclosed volume fixed.
 
-Each step treats the second-derivative term implicitly with its
-coefficient frozen (a tridiagonal solve) and everything else explicitly.
-The update is affine in the average, so each step solves for two
-right-hand sides and picks the multiplier by Newton so that the discrete
-volume of the new state equals the run's initial volume to rounding; the
-state's own average is the Newton start.  The step is first order in
-time.  Step size is controlled by step doubling against a fixed per-step
+Each step treats the second-derivative term implicitly with a frozen
+or extrapolated coefficient (a tridiagonal solve) and everything else
+explicitly.  The update is affine in the average, so each step solves
+for two right-hand sides and picks the multiplier by Newton so that the
+discrete volume of the new state equals the run's initial volume to
+rounding; the state's own average is the Newton start.  A step from a
+state that carries its predecessor is a variable-step SBDF2 step
+(Ascher, Ruuth and Spiteri 1997), second order in time; without one it
+is an IMEX-Euler step, first order.  The first step of a run and every
+public :func:`step` are of the second kind.  A run makes one update per
+attempt and estimates its error from the accepted history, so each step
+costs one solve; the step size is controlled against a fixed per-step
 tolerance, under a cap at the largest step the dissipation monitor
 checks.
 
@@ -41,7 +46,7 @@ from .bounds import MONITOR_DT_MAX, BoundSet, compute_bound_set, run_monitors
 from .curve import GraphProfile
 from .geometry import GraphGrid, GraphTerms, graph_terms, weingarten_norm
 
-STEP_TOL = 1e-6          # per-step error bound for the doubling control
+STEP_TOL = 1e-6          # per-step error bound of the step control
 RECT_MARGIN = 0.01       # radius envelope margin for the frozen bounds
 MAX_RETRIES = 60
 # Newton on the volume multiplier: at most NEWTON_MAX trial states, done
@@ -97,7 +102,9 @@ class FlowStepError(RuntimeError):
 @dataclass
 class _StateEval:
     """Terms, average and area of one state; the rest filled by _full_eval.
-    Has the ``area``, ``volume``, ``avg_H`` and ``v`` run_monitors reads."""
+    Has the ``area``, ``volume``, ``avg_H`` and ``v`` run_monitors reads.
+    ``prev`` is the accepted state a step of size ``dt_prev`` came from,
+    kept one level deep, so an update from this state is SBDF2."""
 
     r: np.ndarray
     terms: GraphTerms
@@ -111,6 +118,8 @@ class _StateEval:
     v_max: float = 0.0
     L_max: float = 0.0
     dissipation: float = 0.0
+    prev: _StateEval | None = None
+    dt_prev: float = 0.0
 
 
 def _light_eval(g: GraphGrid, r: np.ndarray) -> _StateEval:
@@ -154,24 +163,46 @@ def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
     (:func:`_volume_measure`) is ``target``; None when Newton does not
     converge or a trial state is inadmissible.
 
-    The r'' coefficient 1/|c'|^2 is frozen at the pre-step state, so the
-    implicit part is a tridiagonal solve; the ghost closure
-    r''(a) = 2 (r_1 - r_0)/dz^2 keeps the Neumann walls exact.  The
-    average enters only the explicit part as lam |c'|/f, so one solve
-    with two right-hand sides gives r_new = p + lam q for every lam, and
-    lam is the root of sum w f^n R(p + lam q) = target, with derivative
-    sum w f^n h^(n-1) q, found by Newton from the state's average.
+    Write the flow as r_t = A r'' + E + lam v with A = 1/|c'|^2, v =
+    |c'|/f and E the rest of the local term.  Without ``ev.prev`` the
+    update is IMEX-Euler: A frozen at the state, E and v explicit.  With
+    it, and w = dt/dt_prev, it is variable-step SBDF2:
+
+        (1+2w)/(1+w) r+ - dt A* r+'' = (1+w) r - w^2/(1+w) r-
+                                       + dt [(1+w) E - w E-]
+                                       + lam dt [(1+w) v - w v-],
+
+    with A* = (1+w) A - w A- extrapolated from the predecessor (the
+    minus quantities).  Either way the implicit part is a tridiagonal
+    solve; the ghost closure r''(a) = 2 (r_1 - r_0)/dz^2 keeps the
+    Neumann walls exact.  The average enters only the explicit part, so
+    one solve with two right-hand sides gives r+ = p + lam q for every
+    lam, and lam is the root of sum w f^n R(p + lam q) = target, with
+    derivative sum w f^n h^(n-1) q, found by Newton from the state's
+    average.
     """
     t = ev.terms
-    a = dt / (t.speed2 * g.dz ** 2)
+    prev = ev.prev
+    rhs = np.empty((len(ev.r), 2), order="F")
+    if prev is None:
+        lead = 1.0
+        a = dt / (t.speed2 * g.dz ** 2)
+        rhs[:, 0] = ev.r + dt * (t.local - t.rddot / t.speed2)
+        rhs[:, 1] = dt * t.speed / g.f
+    else:
+        w = dt / ev.dt_prev
+        tp = prev.terms
+        lead = (1.0 + 2.0 * w) / (1.0 + w)
+        a = dt * ((1.0 + w) / t.speed2 - w / tp.speed2) / g.dz ** 2
+        rhs[:, 0] = ((1.0 + w) * ev.r - (w * w / (1.0 + w)) * prev.r
+                     + dt * ((1.0 + w) * (t.local - t.rddot / t.speed2)
+                             - w * (tp.local - tp.rddot / tp.speed2)))
+        rhs[:, 1] = dt * ((1.0 + w) * t.speed - w * tp.speed) / g.f
     sub = -a[1:]
     sup = -a[:-1]
     sub[-1] *= 2.0
     sup[0] *= 2.0
-    rhs = np.empty((len(a), 2), order="F")
-    rhs[:, 0] = ev.r + dt * (t.local - t.rddot / t.speed2)
-    rhs[:, 1] = dt * t.speed / g.f
-    *_, sol, info = dgtsv(sub, 1.0 + 2.0 * a, sup, rhs, overwrite_dl=True,
+    *_, sol, info = dgtsv(sub, lead + 2.0 * a, sup, rhs, overwrite_dl=True,
                           overwrite_d=True, overwrite_du=True,
                           overwrite_b=True)
     if info != 0:
@@ -188,6 +219,25 @@ def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
             return r_new
         lam -= gap / float(g.vol_w @ (space.h(r_new)[0] ** (n - 1) * q))
     return None
+
+
+def _step_error(g: GraphGrid, ev: _StateEval, dt: float,
+                r_new: np.ndarray) -> float:
+    """Local error estimate of the update ``r_new`` from ``ev``, at no
+    extra solve.
+
+    With a predecessor it is the gap to the linear extrapolation of the
+    last two accepted states, scaled by dt/(dt + dt_prev); without one,
+    half the gap to forward Euler driven by the state's average.  Both
+    are the O(dt^2) local error of a first-order step.
+    """
+    if ev.prev is None:
+        t = ev.terms
+        euler = ev.r + dt * (t.local + ev.avg_H * t.speed / g.f)
+        return 0.5 * float(np.max(np.abs(r_new - euler)))
+    w = dt / ev.dt_prev
+    gap = r_new - ev.r - w * (ev.r - ev.prev.r)
+    return dt / (dt + ev.dt_prev) * float(np.max(np.abs(gap)))
 
 
 def flow_rhs(space: AmbientSpace, profile: GraphProfile,
@@ -214,9 +264,11 @@ def detect_steady(space: AmbientSpace, profile: GraphProfile,
 
 def step(space: AmbientSpace, profile: GraphProfile,
          dt: float) -> GraphProfile:
-    """One IMEX update of size ``dt`` that keeps the discrete volume of
-    ``profile`` to rounding; raises FlowStepError when a trial state
-    leaves the admissible radius band or the multiplier is not found."""
+    """One IMEX-Euler update of size ``dt`` that keeps the discrete
+    volume of ``profile`` to rounding.  It has no predecessor, so it is
+    first order: the starter step of :func:`run`.  Raises FlowStepError
+    when a trial state leaves the admissible radius band or the
+    multiplier is not found."""
     g = GraphGrid(space, profile)
     r_new = _imex_update(g, _light_eval(g, profile.r), dt,
                          _volume_measure(g, profile.r))
@@ -281,6 +333,8 @@ class RunResult:
     monitor_failures: dict[str, int] = field(default_factory=dict)
     dissipation_worst: float = 0.0
     dissipation_checked: int = 0
+    # step control: attempts, rejected attempts and the accepted dt range
+    stats: dict[str, int | float | None] = field(default_factory=dict)
 
 
 def _freeze_bounds(space, slab, volume0, area0, r_lo, r_hi, max_v0) -> BoundSet:
@@ -312,8 +366,12 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
     eps_axis of the axis, or max r within eps_axis of the far axis), and
     ``step_failure`` (no admissible step above dt_min).
 
-    Every step conserves the discrete volume of the initial state to
-    rounding: its multiplier is solved for per update and not recorded.
+    The first step is IMEX-Euler and every later one SBDF2 on the last
+    two accepted states.  Each attempt is one update, accepted when its
+    :func:`_step_error` is within STEP_TOL; ``stats`` counts the
+    attempts and gives the accepted dt range.  Every step conserves the
+    discrete volume of the initial state to rounding: its multiplier is
+    solved for per update and not recorded.
     The recorded ``avgH`` column is the state's own average, which is
     also the Newton start of the step from that state.
 
@@ -336,17 +394,18 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
     failures = result.monitor_failures
 
     t = 0.0
-    steps = 0
+    steps = attempts = 0
+    dt_lo, dt_hi = math.inf, 0.0
     dt_next = config.dt.dt_max
     prof = initial
-    prev: tuple[float, float, float] | None = None   # (area, dissipation, dt)
 
     def emit(row_dt: float) -> None:
+        prev = ev.prev
         report = run_monitors(
             space, bounds_now, prof, ev, t,
-            prev_area=None if prev is None else prev[0],
-            prev_dissipation=None if prev is None else prev[1],
-            dt=None if prev is None else prev[2])
+            prev_area=None if prev is None else prev.area,
+            prev_dissipation=None if prev is None else prev.dissipation,
+            dt=None if prev is None else ev.dt_prev)
         for name in report.failures:
             failures[name] = failures.get(name, 0) + 1
         if "dissipation" in report.checks:
@@ -385,20 +444,18 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
 
         accepted = None
         for _ in range(MAX_RETRIES):
-            full = _imex_update(g, ev, dt, target)
-            half = _imex_update(g, ev, dt / 2.0, target)
-            if half is not None:
-                half = _imex_update(g, _light_eval(g, half), dt / 2.0, target)
-            if full is None or half is None:
-                err = math.inf
-            else:
-                err = float(np.max(np.abs(full - half)))
+            attempts += 1
+            accepted = _imex_update(g, ev, dt, target)
+            err = (math.inf if accepted is None
+                   else _step_error(g, ev, dt, accepted))
             if err <= STEP_TOL:
-                accepted = half
+                # a grow cap of 2 keeps the step ratio below 1 + sqrt(2),
+                # the zero-stability limit of variable-step BDF2
                 grow = 2.0 if err == 0.0 else min(
                     2.0, 0.9 * math.sqrt(STEP_TOL / err))
                 dt_next = min(config.dt.dt_max, dt * grow)
                 break
+            accepted = None
             if dt <= config.dt.dt_min:
                 break
             shrink = 0.5 if not math.isfinite(err) else max(
@@ -409,10 +466,14 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
             result.termination = "step_failure"
             break
 
-        prev = (ev.area, ev.dissipation, dt)
         t += dt
         steps += 1
-        ev = _full_eval(g, accepted)
+        dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
+        # the new state keeps this one as its predecessor, one level deep
+        ev.prev = None
+        new_ev = _full_eval(g, accepted)
+        new_ev.prev, new_ev.dt_prev = ev, dt
+        ev = new_ev
         prof = initial.with_radii(accepted)
 
         if run_lo > ev.r_min or run_hi < ev.r_max:
@@ -439,11 +500,15 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
             break
 
     if record.rows and record.rows[-1].t < t:
-        emit(prev[2] if prev is not None else 0.0)
+        emit(ev.dt_prev)
     if snapshot_every > 0 and (not result.snapshots
                                or result.snapshots[-1][0] != steps):
         result.snapshots.append((steps, t, prof))
     result.t_final = t
     result.steps = steps
+    result.stats = {"attempts": attempts, "rejected": attempts - steps,
+                    "dt_min": dt_lo if steps else None,
+                    "dt_max": dt_hi if steps else None,
+                    "dt_mean": t / steps if steps else None}
     result.profile = prof
     return result

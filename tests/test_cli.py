@@ -93,6 +93,20 @@ def test_run_record_is_reproducible(tmp_path):
         == (out2 / "record.csv").read_bytes()
 
 
+def test_run_summary_has_step_stats_the_record_lacks(tmp_path):
+    cfg = write_config(tmp_path, SHORT_DOC)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    stats = summary["stats"]
+    assert set(stats) == {"attempts", "rejected", "dt_min", "dt_max",
+                          "dt_mean"}
+    assert stats["attempts"] - stats["rejected"] == summary["steps"]
+    assert 0.0 < stats["dt_min"] <= stats["dt_mean"] <= stats["dt_max"]
+    header = (out / "record.csv").read_text().splitlines()[0].split(",")
+    assert not set(stats) & set(header)
+
+
 def test_run_config_error_exit(tmp_path, capsys):
     doc = {"space": {"case": "C9"}, "slab": {"a": 0, "b": 1}}
     cfg = write_config(tmp_path, doc)

@@ -204,6 +204,97 @@ def test_fixed_dt_self_convergence_is_first_order(case):
     assert all(0.9 <= s <= 1.1 for s in slopes), slopes
 
 
+@pytest.mark.parametrize("case", list(ORDER_STARTS))
+def test_run_fixed_dt_self_convergence_is_second_order(case):
+    # run at a pinned dt: the IMEX-Euler starter, then SBDF2 steps, every
+    # one accepted; its states at T shrink 4-fold per halving of dt
+    space, prof = _order_start(case)
+    T = 2e-3
+    ends = []
+    for m in (40, 80, 160, 320):
+        dt = T / m
+        res = run(space, prof, FlowConfig(
+            T_max=T, dt=DtPolicy(dt_max=dt, dt_min=dt)))
+        assert res.termination == "reached_T"
+        assert res.stats["rejected"] == 0
+        ends.append(res.profile.r)
+    diffs = [np.max(np.abs(b - a)) for a, b in zip(ends, ends[1:])]
+    slopes = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+    assert all(1.9 <= s <= 2.1 for s in slopes), slopes
+
+
+def rough_start(N=400):
+    """The hardest rough C1 start of the benchmark: three cosine modes."""
+    z = np.linspace(0.0, 1.0, N + 1)
+    return GraphProfile(0.0, 1.0, 1.0 + 0.05 * np.cos(6 * math.pi * z)
+                        + 0.075 * np.cos(7 * math.pi * z)
+                        + 0.1 * np.cos(12 * math.pi * z))
+
+
+def test_run_makes_one_update_per_attempt(monkeypatch):
+    calls = []
+    update = flow._imex_update
+
+    def counting_update(*args):
+        calls.append(args)
+        return update(*args)
+
+    monkeypatch.setattr(flow, "_imex_update", counting_update)
+    res = run(FLAT, perturbed(), quick_config())
+    assert res.stats["rejected"] == 0
+    assert len(calls) == res.steps
+    calls.clear()
+    res = run(FLAT, rough_start(100), FlowConfig(T_max=0.005))
+    assert res.stats["rejected"] > 0
+    assert len(calls) == res.stats["attempts"]
+
+
+def test_run_keeps_one_predecessor(monkeypatch):
+    # each state links the state it came from and cuts that one's link,
+    # so the history does not grow with the step count
+    states = []
+    full_eval = flow._full_eval
+
+    def keeping_full_eval(g, r):
+        states.append(full_eval(g, r))
+        return states[-1]
+
+    monkeypatch.setattr(flow, "_full_eval", keeping_full_eval)
+    res = run(FLAT, perturbed(), quick_config())
+    assert len(states) == res.steps + 1
+    last = states[-1]
+    assert last.prev is states[-2] and last.prev.prev is None
+    assert last.dt_prev == res.record.rows[-1].dt
+    assert all(s.prev is None for s in states[:-1])
+
+
+def test_sbdf2_keeps_dissipation_margin_on_rough_start():
+    # an IMEX-Euler step per attempt takes this start over the 5 %
+    # dissipation tolerance; the second-order step stays inside 4 %
+    res = run(FLAT, rough_start(), FlowConfig(T_max=0.03))
+    assert res.termination == "reached_T"
+    assert res.monitor_failures == {}
+    assert res.dissipation_checked > 0
+    assert res.dissipation_worst <= 0.04
+
+
+def test_run_stats_count_attempts_and_dt_range():
+    res = run(FLAT, rough_start(100), FlowConfig(T_max=0.005))
+    stats = res.stats
+    assert stats["rejected"] > 0
+    assert stats["attempts"] - stats["rejected"] == res.steps
+    dts = res.record.column("dt")[1:]
+    assert len(dts) == res.steps
+    assert stats["dt_min"] == dts.min() and stats["dt_max"] == dts.max()
+    assert stats["dt_mean"] == pytest.approx(dts.mean(), rel=1e-12)
+
+
+def test_run_stats_of_a_run_without_steps():
+    res = run(FLAT, cylinder(), quick_config())
+    assert res.stats == {"attempts": 0, "rejected": 0, "dt_min": None,
+                         "dt_max": None, "dt_mean": None}
+
+
 def test_step_keeps_discrete_wall_slopes_flat():
     prof = perturbed()
     for _ in range(20):
