@@ -25,12 +25,12 @@ costs one solve; the step size is controlled against a fixed per-step
 tolerance, under a cap at the largest step the dissipation monitor
 checks.
 
-The inner loop works on bare radius arrays; profile objects are built
-once per accepted step for records and monitors.  The radii must stay in
-the ambient's open band (0, h_zero): a state entering through a public
-function is checked once, when its ``GraphGrid`` is built, and each
-trial state of a step (a Newton iterate) is tested once with
-``AmbientSpace.admits``; an inadmissible trial rejects the attempt.
+The inner loop works on bare radius arrays; a profile object is built
+only for a state that is recorded, snapshotted or returned.  The radii
+must stay in the ambient's open band (0, h_zero): a state entering
+through a public function is checked once, when its ``GraphGrid`` is
+built, and each trial state of a step (a Newton iterate) is tested once
+with ``AmbientSpace.admits``; an inadmissible trial rejects the attempt.
 """
 
 from __future__ import annotations
@@ -369,9 +369,10 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
     The first step is IMEX-Euler and every later one SBDF2 on the last
     two accepted states.  Each attempt is one update, accepted when its
     :func:`_step_error` is within STEP_TOL; ``stats`` counts the
-    attempts and gives the accepted dt range.  Every step conserves the
-    discrete volume of the initial state to rounding: its multiplier is
-    solved for per update and not recorded.
+    attempts and gives the accepted dt range and ``err_ratio_max``, the
+    largest error / STEP_TOL of an accepted step.  Every step conserves
+    the discrete volume of the initial state to rounding: its multiplier
+    is solved for per update and not recorded.
     The recorded ``avgH`` column is the state's own average, which is
     also the Newton start of the step from that state.
 
@@ -396,13 +397,20 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
     t = 0.0
     steps = attempts = 0
     dt_lo, dt_hi = math.inf, 0.0
+    err_max = 0.0
     dt_next = config.dt.dt_max
-    prof = initial
+    prof = initial   # the profile of ev, None until one is needed
+
+    def profile() -> GraphProfile:
+        nonlocal prof
+        if prof is None:
+            prof = initial.with_radii(ev.r)
+        return prof
 
     def emit(row_dt: float) -> None:
         prev = ev.prev
         report = run_monitors(
-            space, bounds_now, prof, ev, t,
+            space, bounds_now, profile(), ev, t,
             prev_area=None if prev is None else prev.area,
             prev_dissipation=None if prev is None else prev.dissipation,
             dt=None if prev is None else ev.dt_prev)
@@ -427,7 +435,7 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
 
     def snap() -> None:
         if snapshot_every > 0 and (steps % snapshot_every == 0):
-            result.snapshots.append((steps, t, prof))
+            result.snapshots.append((steps, t, profile()))
 
     emit(0.0)
     snap()
@@ -469,12 +477,13 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
         t += dt
         steps += 1
         dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
+        err_max = max(err_max, err)
         # the new state keeps this one as its predecessor, one level deep
         ev.prev = None
         new_ev = _full_eval(g, accepted)
         new_ev.prev, new_ev.dt_prev = ev, dt
         ev = new_ev
-        prof = initial.with_radii(accepted)
+        prof = None
 
         if run_lo > ev.r_min or run_hi < ev.r_max:
             run_lo = min(run_lo, ev.r_min)
@@ -503,12 +512,13 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
         emit(ev.dt_prev)
     if snapshot_every > 0 and (not result.snapshots
                                or result.snapshots[-1][0] != steps):
-        result.snapshots.append((steps, t, prof))
+        result.snapshots.append((steps, t, profile()))
     result.t_final = t
     result.steps = steps
     result.stats = {"attempts": attempts, "rejected": attempts - steps,
                     "dt_min": dt_lo if steps else None,
                     "dt_max": dt_hi if steps else None,
-                    "dt_mean": t / steps if steps else None}
-    result.profile = prof
+                    "dt_mean": t / steps if steps else None,
+                    "err_ratio_max": err_max / STEP_TOL if steps else None}
+    result.profile = profile()
     return result

@@ -243,7 +243,8 @@ class GeometrySummary:
 
     The graph quantities are u = f/speed and v = speed/f: v >= 1/f
     always, with equality exactly at critical points of r, and finite v
-    is the graph condition.
+    is the graph condition.  ``dissipation`` is the area-decay integral
+    of (avg_H - H)^2 over the hypersurface.
     """
 
     k1: np.ndarray
@@ -256,6 +257,7 @@ class GeometrySummary:
     area: float
     volume: float
     avg_H: float
+    dissipation: float
     sphere_volume: float
 
 
@@ -270,11 +272,14 @@ def summarize(space: AmbientSpace, profile: GraphProfile,
     elem = _area_element(e, n)
     omega = unit_sphere_volume(n)
     denom = quadrature(elem, x=e.s, rule=rule)
+    avg_H = quadrature(H * elem, x=e.s, rule=rule) / denom
     return GeometrySummary(
         k1=k1, k2=k2, H=H, u=e.f / e.speed, v=e.speed / e.f, speed=e.speed,
         L_norm=weingarten_norm(k1, k2, n),
         area=omega * denom,
         volume=_volume(space, e.z, e.f, e.r, rule),
-        avg_H=quadrature(H * elem, x=e.s, rule=rule) / denom,
+        avg_H=avg_H,
+        dissipation=omega * quadrature((avg_H - H) ** 2 * elem, x=e.s,
+                                       rule=rule),
         sphere_volume=omega,
     )

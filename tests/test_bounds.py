@@ -297,6 +297,14 @@ def test_dissipation_zero_on_constant_curvature_state():
     assert dissipation_integral(C1, _cylinder(1.0), 1.0) == 0.0
 
 
+def test_summary_dissipation_is_the_dissipation_integral():
+    prof = _perturbed(1.0, 0.1)
+    summ = summarize(C1, prof)
+    assert summ.dissipation > 0.0
+    assert summ.dissipation == pytest.approx(
+        dissipation_integral(C1, prof, summ.avg_H), rel=1e-10)
+
+
 def test_dissipation_matches_direct_quadrature():
     prof = _perturbed(1.0, 0.1, N=300)
     k1, k2 = principal_curvatures(C1, prof)
@@ -470,4 +478,23 @@ def test_dissipation_check_skipped_for_large_steps():
     prof, summ, bset = _healthy_setup()
     report = run_monitors(C1, bset, prof, summ, 0.1, prev_area=summ.area,
                           prev_dissipation=1.0, dt=1.0)
+    assert "dissipation" not in report.checks
+
+
+@pytest.mark.parametrize("dt", [1e-5, bounds.MONITOR_DT_MAX])
+def test_dissipation_check_passes_an_exact_trapezoid_pair(dt):
+    # the area falls by the mean of D = 3 and D = 1 over the step; against
+    # the first decay integral alone the mismatch would be 1/3
+    prof, summ, bset = _healthy_setup()
+    now = dataclasses.replace(summ, dissipation=1.0)
+    report = run_monitors(C1, bset, prof, now, 0.1,
+                          prev_area=summ.area + 2.0 * dt,
+                          prev_dissipation=3.0, dt=dt)
+    check = report.checks["dissipation"]
+    assert check.passed
+    assert check.observed == pytest.approx(0.0, abs=1e-9)
+    above = math.nextafter(bounds.MONITOR_DT_MAX, math.inf)
+    report = run_monitors(C1, bset, prof, now, 0.1,
+                          prev_area=summ.area + 2.0 * above,
+                          prev_dissipation=3.0, dt=above)
     assert "dissipation" not in report.checks

@@ -100,9 +100,10 @@ def test_run_summary_has_step_stats_the_record_lacks(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     stats = summary["stats"]
     assert set(stats) == {"attempts", "rejected", "dt_min", "dt_max",
-                          "dt_mean"}
+                          "dt_mean", "err_ratio_max"}
     assert stats["attempts"] - stats["rejected"] == summary["steps"]
     assert 0.0 < stats["dt_min"] <= stats["dt_mean"] <= stats["dt_max"]
+    assert 0.0 <= stats["err_ratio_max"] <= 1.0
     header = (out / "record.csv").read_text().splitlines()[0].split(",")
     assert not set(stats) & set(header)
 

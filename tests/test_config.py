@@ -29,7 +29,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.flow.eps_cmc == 1e-5
     assert cfg.flow.eps_axis == 1e-3
     assert cfg.flow.T_max == 2.0
-    assert cfg.flow.dt.dt_max == MONITOR_DT_MAX == 1e-4
+    assert cfg.flow.dt.dt_max == MONITOR_DT_MAX == 1e-2
     assert cfg.out_dir is None and cfg.snapshot_every == 0
     space = cfg.build_space()
     prof = cfg.build_initial(space)

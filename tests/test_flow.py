@@ -289,10 +289,43 @@ def test_run_stats_count_attempts_and_dt_range():
     assert stats["dt_mean"] == pytest.approx(dts.mean(), rel=1e-12)
 
 
+def test_run_stats_give_the_largest_accepted_error_ratio(monkeypatch):
+    errors = []
+    step_error = flow._step_error
+
+    def recording(*args):
+        errors.append(step_error(*args))
+        return errors[-1]
+
+    monkeypatch.setattr(flow, "_step_error", recording)
+    res = run(FLAT, rough_start(100), FlowConfig(T_max=0.005))
+    accepted = [e for e in errors if e <= flow.STEP_TOL]
+    assert len(accepted) == res.steps < len(errors)
+    assert res.stats["err_ratio_max"] == max(accepted) / flow.STEP_TOL
+    assert 0.0 < res.stats["err_ratio_max"] <= 1.0
+
+
+def test_run_builds_a_profile_only_for_records(monkeypatch):
+    built = []
+    with_radii = GraphProfile.with_radii
+
+    def counting(self, r):
+        built.append(r)
+        return with_radii(self, r)
+
+    monkeypatch.setattr(GraphProfile, "with_radii", counting)
+    res = run(FLAT, perturbed(), quick_config(output_every=4))
+    assert res.steps > 8 and res.steps % 4 != 0
+    # the start is the initial profile itself; the last state is recorded
+    assert len(built) == len(res.record.rows) - 1 == res.steps // 4 + 1
+    assert np.array_equal(res.profile.r, built[-1])
+
+
 def test_run_stats_of_a_run_without_steps():
     res = run(FLAT, cylinder(), quick_config())
     assert res.stats == {"attempts": 0, "rejected": 0, "dt_min": None,
-                         "dt_max": None, "dt_mean": None}
+                         "dt_max": None, "dt_mean": None,
+                         "err_ratio_max": None}
 
 
 def test_step_keeps_discrete_wall_slopes_flat():

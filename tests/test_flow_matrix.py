@@ -3,12 +3,15 @@
 The IMEX update picks its multiplier so that the discrete enclosed volume
 stays at its initial value to rounding, whatever the step size.  Each
 case is flowed from a perturbed cylinder: one step at the largest step
-the dissipation monitor checks, and a short run at the default step
-policy with every monitor clean.  The wide starts (r0 = 2.5) on C2, C4
-and C6 have a negative average mean curvature at t = 0.  Random smooth
-starts on C1, C2 and C6 check the same properties on drawn shapes.
+the dissipation monitor checks, a short run at the default step policy
+with every monitor clean, and a run to steady.  The wide starts (r0 =
+2.5) on C2, C4 and C6 have a negative average mean curvature at t = 0.
+On C1, C2 and C6 the dissipation check must catch a decay integral off
+by 10 % at every record it checks.  Random smooth starts on C1, C2 and
+C6 check the same properties on drawn shapes.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,8 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eqflow import flow
 from eqflow.ambient import make_space
-from eqflow.bounds import MONITOR_DT_MAX
+from eqflow.bounds import MONITOR_DT_MAX, run_monitors
 from eqflow.curve import GraphProfile
 from eqflow.flow import FlowConfig, run, step
 from eqflow.geometry import enclosed_volume
@@ -47,10 +51,10 @@ CASES = [
 ]
 
 
-def initial_state(args, slab, start):
+def initial_state(args, slab, start, N=100):
     space = make_space(**args)
     radius, amplitude = start
-    return space, make_initial(space, slab, 100, kind="perturbed",
+    return space, make_initial(space, slab, N, kind="perturbed",
                                radius=radius, amplitude=amplitude, mode=1)
 
 
@@ -68,13 +72,83 @@ def test_imex_step_keeps_discrete_volume(args, slab, start):
                          ids=[c[0] for c in CASES])
 def test_short_run_conserves_volume_with_clean_monitors(args, slab, start):
     space, prof = initial_state(args, slab, start)
-    res = run(space, prof, FlowConfig(T_max=2e-3))
+    # the shortest horizon (on a 1e-4 grid) at which every case takes
+    # ten steps: C1 and its n = 3, 4 variants take exactly ten
+    res = run(space, prof, FlowConfig(T_max=3.7e-3))
     assert res.termination == "reached_T"
     assert res.steps >= 10
     assert res.monitor_failures == {}
     assert res.dissipation_checked > 0
     assert np.max(np.abs(res.record.column("vol_drift"))) <= 1e-13
     assert np.all(np.diff(res.record.column("area")) <= 0.0)
+
+
+def _steady_run(args, slab, start, N):
+    space, prof = initial_state(args, slab, start, N)
+    res = run(space, prof, FlowConfig(T_max=2.0))
+    assert res.termination == "steady"
+    assert res.dissipation_checked > 0
+    assert np.max(np.abs(res.record.column("vol_drift"))) <= 1e-13
+    return res
+
+
+def _area_never_grows(res):
+    return bool(np.all(np.diff(res.record.column("area")) <= 0.0))
+
+
+@pytest.mark.parametrize("args,slab,start", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_run_to_steady_conserves_volume_with_clean_monitors(args, slab,
+                                                            start):
+    res = _steady_run(args, slab, start, 100)
+    if not res.monitor_failures:
+        assert _area_never_grows(res)
+        return
+    # on 100 cells the discrete area and the flow's H agree only to
+    # O(dz^2), and near steady, where D is small and the steps are at the
+    # cap, that gap shows: C2, C2-n4, C2-wide and C5 miss the dissipation
+    # identity (worst 0.053-0.146), and on C2-n4 and C2-wide the area
+    # rises by up to 2.5e-11 per step (the same total at any dt cap).
+    # Such a miss must be spatial: gone on twice the grid, the mismatch
+    # shrinking about 4-fold.
+    assert set(res.monitor_failures) <= {"dissipation", "area_monotone"}
+    fine = _steady_run(args, slab, start, 200)
+    assert fine.monitor_failures == {}
+    assert _area_never_grows(fine)
+    assert fine.dissipation_worst <= res.dissipation_worst / 2.5
+
+
+CASE_ARGS = {c[0]: c[1:] for c in CASES}
+
+
+@pytest.mark.parametrize("case", ["C1", "C2", "C6"])
+def test_dissipation_check_fails_on_a_scaled_decay_integral(monkeypatch,
+                                                            case):
+    # replay every checked record of a run to steady on the benchmark's
+    # grid with both decay integrals of the step scaled by 0.9, then 1.1
+    checked = []
+
+    def recording(*args, **kwargs):
+        report = run_monitors(*args, **kwargs)
+        if "dissipation" in report.checks:
+            checked.append((args, kwargs))
+        return report
+
+    monkeypatch.setattr(flow, "run_monitors", recording)
+    space, prof = initial_state(*CASE_ARGS[case], N=400)
+    res = run(space, prof, FlowConfig(T_max=2.0))
+    assert res.termination == "steady" and res.monitor_failures == {}
+    assert len(checked) == res.dissipation_checked > 0
+    assert max(kw["dt"] for _, kw in checked) == MONITOR_DT_MAX
+    for scale in (0.9, 1.1):
+        for (sp, bset, p, summ, t), kw in checked:
+            scaled = dataclasses.replace(
+                summ, dissipation=scale * summ.dissipation)
+            report = run_monitors(
+                sp, bset, p, scaled, t, prev_area=kw["prev_area"],
+                prev_dissipation=scale * kw["prev_dissipation"],
+                dt=kw["dt"])
+            assert not report.checks["dissipation"].passed
 
 
 # (space, slab) of the random smooth starts
