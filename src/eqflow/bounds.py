@@ -22,9 +22,9 @@ from scipy.integrate import quad
 
 from .ambient import (AmbientSpace, Rect, SupNorms, radial_measure,
                       radial_measure_inverse, sup_norms)
-from .curve import GraphProfile, quadrature
-from .geometry import (GeometrySummary, GraphGrid, graph_terms, mean_curvature,
-                       principal_curvatures, unit_sphere_volume)
+from .curve import GraphProfile
+from .geometry import (GeometrySummary, mean_curvature, principal_curvatures,
+                       unit_sphere_volume)
 
 # Monitor tolerances.  The dissipation check compares the area's rate over a
 # step with the trapezoid mean of the exact decay integral at its two ends;
@@ -337,15 +337,6 @@ class ViolationReport:
     @property
     def failures(self) -> list[str]:
         return [name for name, c in self.checks.items() if not c.passed]
-
-
-def dissipation_integral(space: AmbientSpace, profile: GraphProfile,
-                         avg_H: float) -> float:
-    """Exact area-decay integral of (avg_H - H)^2 over the hypersurface."""
-    t = graph_terms(GraphGrid(space, profile), profile.r)
-    _, _, H = t.curvatures()
-    return unit_sphere_volume(space.n) * quadrature(
-        (avg_H - H) ** 2 * t.elem, x=profile.z)
 
 
 def run_monitors(space: AmbientSpace, bound_set: BoundSet,

@@ -25,12 +25,12 @@ costs one solve; the step size is controlled against a fixed per-step
 tolerance, under a cap at the largest step the dissipation monitor
 checks.
 
-The inner loop works on bare radius arrays; a profile object is built
-only for a state that is recorded, snapshotted or returned.  The radii
-must stay in the ambient's open band (0, h_zero): a state entering
-through a public function is checked once, when its ``GraphGrid`` is
-built, and each trial state of a step (a Newton iterate) is tested once
-with ``AmbientSpace.admits``; an inadmissible trial rejects the attempt.
+The inner loop works on bare radius arrays; profile objects are built
+once per accepted step for records and monitors.  The radii must stay in
+the ambient's open band (0, h_zero): a state entering through a public
+function is checked once, when its ``GraphGrid`` is built, and each
+trial state of a step (a Newton iterate) is tested once with
+``AmbientSpace.admits``; an inadmissible trial rejects the attempt.
 """
 
 from __future__ import annotations
@@ -399,18 +399,12 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
     dt_lo, dt_hi = math.inf, 0.0
     err_max = 0.0
     dt_next = config.dt.dt_max
-    prof = initial   # the profile of ev, None until one is needed
-
-    def profile() -> GraphProfile:
-        nonlocal prof
-        if prof is None:
-            prof = initial.with_radii(ev.r)
-        return prof
+    prof = initial
 
     def emit(row_dt: float) -> None:
         prev = ev.prev
         report = run_monitors(
-            space, bounds_now, profile(), ev, t,
+            space, bounds_now, prof, ev, t,
             prev_area=None if prev is None else prev.area,
             prev_dissipation=None if prev is None else prev.dissipation,
             dt=None if prev is None else ev.dt_prev)
@@ -435,7 +429,7 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
 
     def snap() -> None:
         if snapshot_every > 0 and (steps % snapshot_every == 0):
-            result.snapshots.append((steps, t, profile()))
+            result.snapshots.append((steps, t, prof))
 
     emit(0.0)
     snap()
@@ -483,7 +477,7 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
         new_ev = _full_eval(g, accepted)
         new_ev.prev, new_ev.dt_prev = ev, dt
         ev = new_ev
-        prof = None
+        prof = initial.with_radii(accepted)
 
         if run_lo > ev.r_min or run_hi < ev.r_max:
             run_lo = min(run_lo, ev.r_min)
@@ -512,7 +506,7 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
         emit(ev.dt_prev)
     if snapshot_every > 0 and (not result.snapshots
                                or result.snapshots[-1][0] != steps):
-        result.snapshots.append((steps, t, profile()))
+        result.snapshots.append((steps, t, prof))
     result.t_final = t
     result.steps = steps
     result.stats = {"attempts": attempts, "rejected": attempts - steps,
@@ -520,5 +514,5 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
                     "dt_max": dt_hi if steps else None,
                     "dt_mean": t / steps if steps else None,
                     "err_ratio_max": err_max / STEP_TOL if steps else None}
-    result.profile = profile()
+    result.profile = prof
     return result

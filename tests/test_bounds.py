@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eqflow import ambient, bounds
+from eqflow import ambient, bounds, flow
 from eqflow.ambient import Rect, make_space, sup_norms
 from eqflow.bounds import (
     _stencil_weights,
@@ -17,7 +17,6 @@ from eqflow.bounds import (
     boundary_compat_residual,
     boundary_identity_residuals,
     compute_bound_set,
-    dissipation_integral,
     graph_bound,
     longtime_area_check,
     radius_bounds,
@@ -28,6 +27,7 @@ from eqflow.bounds import (
 )
 from eqflow.curve import GraphProfile, quadrature
 from eqflow.geometry import (
+    GraphGrid,
     area,
     averaged_H_direct,
     enclosed_volume,
@@ -294,15 +294,20 @@ def test_compat_residual_vanishes_on_equatorial_plane():
 # -- dissipation integral --------------------------------------------------
 
 def test_dissipation_zero_on_constant_curvature_state():
-    assert dissipation_integral(C1, _cylinder(1.0), 1.0) == 0.0
+    assert summarize(C1, _cylinder(1.0)).dissipation == 0.0
 
 
-def test_summary_dissipation_is_the_dissipation_integral():
-    prof = _perturbed(1.0, 0.1)
-    summ = summarize(C1, prof)
+@pytest.mark.parametrize("space,slab", [
+    (C1, (0.0, 1.0)), (C2, (1.0, 2.0)), (make_space("C6", lam=1.0), (-0.5, 0.5)),
+], ids=["C1", "C2", "C6"])
+def test_summary_dissipation_matches_the_flow_state(space, slab):
+    # run_monitors reads D from either evaluation of a state
+    prof = make_initial(space, slab, 100, kind="perturbed", radius=1.0,
+                        amplitude=0.1)
+    summ = summarize(space, prof)
+    state = flow._full_eval(GraphGrid(space, prof), prof.r)
     assert summ.dissipation > 0.0
-    assert summ.dissipation == pytest.approx(
-        dissipation_integral(C1, prof, summ.avg_H), rel=1e-10)
+    assert state.dissipation == pytest.approx(summ.dissipation, rel=1e-10)
 
 
 def test_dissipation_matches_direct_quadrature():
@@ -315,7 +320,7 @@ def test_dissipation_matches_direct_quadrature():
     rdot[0] = rdot[-1] = 0.0
     elem = np.sqrt(1.0 + rdot**2) * prof.r
     ref = 2.0 * math.pi * quadrature((avg - H) ** 2 * elem, x=z)
-    val = dissipation_integral(C1, prof, avg)
+    val = summarize(C1, prof).dissipation
     assert val > 0.0
     assert val == pytest.approx(ref, rel=2e-2)
 
@@ -474,27 +479,31 @@ def test_monitors_flag_area_growth():
     assert "area_monotone" in report.failures
 
 
+def _trapezoid_pair(summ, dt):
+    """The current state with D = 1 and the previous area of a step of
+    ``dt`` from D = 3, along which the area falls by their mean; against
+    the first decay integral alone the mismatch would be 1/3."""
+    return (dataclasses.replace(summ, dissipation=1.0),
+            dict(prev_area=summ.area + 2.0 * dt, prev_dissipation=3.0, dt=dt))
+
+
 def test_dissipation_check_skipped_for_large_steps():
     prof, summ, bset = _healthy_setup()
     report = run_monitors(C1, bset, prof, summ, 0.1, prev_area=summ.area,
                           prev_dissipation=1.0, dt=1.0)
     assert "dissipation" not in report.checks
+    # nor is an exact pair checked just above the window
+    now, prev = _trapezoid_pair(
+        summ, math.nextafter(bounds.MONITOR_DT_MAX, math.inf))
+    report = run_monitors(C1, bset, prof, now, 0.1, **prev)
+    assert "dissipation" not in report.checks
 
 
 @pytest.mark.parametrize("dt", [1e-5, bounds.MONITOR_DT_MAX])
 def test_dissipation_check_passes_an_exact_trapezoid_pair(dt):
-    # the area falls by the mean of D = 3 and D = 1 over the step; against
-    # the first decay integral alone the mismatch would be 1/3
     prof, summ, bset = _healthy_setup()
-    now = dataclasses.replace(summ, dissipation=1.0)
-    report = run_monitors(C1, bset, prof, now, 0.1,
-                          prev_area=summ.area + 2.0 * dt,
-                          prev_dissipation=3.0, dt=dt)
-    check = report.checks["dissipation"]
+    now, prev = _trapezoid_pair(summ, dt)
+    check = run_monitors(C1, bset, prof, now, 0.1, **prev).checks[
+        "dissipation"]
     assert check.passed
     assert check.observed == pytest.approx(0.0, abs=1e-9)
-    above = math.nextafter(bounds.MONITOR_DT_MAX, math.inf)
-    report = run_monitors(C1, bset, prof, now, 0.1,
-                          prev_area=summ.area + 2.0 * above,
-                          prev_dissipation=3.0, dt=above)
-    assert "dissipation" not in report.checks

@@ -7,7 +7,6 @@ import pytest
 
 from eqflow import flow
 from eqflow.ambient import AmbientSpace, make_space
-from eqflow.bounds import dissipation_integral
 from eqflow.curve import GraphProfile, diff, quad_weights
 from eqflow.flow import (TERMINATIONS, DtPolicy, FlowConfig,
                          FlowRecord, FlowStepError, RecordRow,
@@ -305,22 +304,6 @@ def test_run_stats_give_the_largest_accepted_error_ratio(monkeypatch):
     assert 0.0 < res.stats["err_ratio_max"] <= 1.0
 
 
-def test_run_builds_a_profile_only_for_records(monkeypatch):
-    built = []
-    with_radii = GraphProfile.with_radii
-
-    def counting(self, r):
-        built.append(r)
-        return with_radii(self, r)
-
-    monkeypatch.setattr(GraphProfile, "with_radii", counting)
-    res = run(FLAT, perturbed(), quick_config(output_every=4))
-    assert res.steps > 8 and res.steps % 4 != 0
-    # the start is the initial profile itself; the last state is recorded
-    assert len(built) == len(res.record.rows) - 1 == res.steps // 4 + 1
-    assert np.array_equal(res.profile.r, built[-1])
-
-
 def test_run_stats_of_a_run_without_steps():
     res = run(FLAT, cylinder(), quick_config())
     assert res.stats == {"attempts": 0, "rejected": 0, "dt_min": None,
@@ -358,7 +341,6 @@ STATE_ENTRIES = {
     "flow_rhs": lambda s, p: flow_rhs(s, p, 0.0),
     "initial_bound_set": initial_bound_set,
     "summarize": summarize,
-    "dissipation_integral": lambda s, p: dissipation_integral(s, p, 0.0),
 }
 
 

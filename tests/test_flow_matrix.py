@@ -83,39 +83,21 @@ def test_short_run_conserves_volume_with_clean_monitors(args, slab, start):
     assert np.all(np.diff(res.record.column("area")) <= 0.0)
 
 
-def _steady_run(args, slab, start, N):
-    space, prof = initial_state(args, slab, start, N)
-    res = run(space, prof, FlowConfig(T_max=2.0))
-    assert res.termination == "steady"
-    assert res.dissipation_checked > 0
-    assert np.max(np.abs(res.record.column("vol_drift"))) <= 1e-13
-    return res
-
-
-def _area_never_grows(res):
-    return bool(np.all(np.diff(res.record.column("area")) <= 0.0))
-
-
 @pytest.mark.parametrize("args,slab,start", [c[1:] for c in CASES],
                          ids=[c[0] for c in CASES])
 def test_run_to_steady_conserves_volume_with_clean_monitors(args, slab,
                                                             start):
-    res = _steady_run(args, slab, start, 100)
-    if not res.monitor_failures:
-        assert _area_never_grows(res)
-        return
-    # on 100 cells the discrete area and the flow's H agree only to
-    # O(dz^2), and near steady, where D is small and the steps are at the
-    # cap, that gap shows: C2, C2-n4, C2-wide and C5 miss the dissipation
-    # identity (worst 0.053-0.146), and on C2-n4 and C2-wide the area
-    # rises by up to 2.5e-11 per step (the same total at any dt cap).
-    # Such a miss must be spatial: gone on twice the grid, the mismatch
-    # shrinking about 4-fold.
-    assert set(res.monitor_failures) <= {"dissipation", "area_monotone"}
-    fine = _steady_run(args, slab, start, 200)
-    assert fine.monitor_failures == {}
-    assert _area_never_grows(fine)
-    assert fine.dissipation_worst <= res.dissipation_worst / 2.5
+    # on 200 cells: near steady, where D is small and the steps reach the
+    # 1e-2 cap, the O(dz^2) gap between the discrete area and the flow's
+    # H makes C2, C2-n4, C2-wide and C5 miss the dissipation identity on
+    # 100 cells, and C2-n4 and C2-wide raise their area
+    space, prof = initial_state(args, slab, start, N=200)
+    res = run(space, prof, FlowConfig(T_max=2.0))
+    assert res.termination == "steady"
+    assert res.monitor_failures == {}
+    assert res.dissipation_checked > 0
+    assert np.max(np.abs(res.record.column("vol_drift"))) <= 1e-13
+    assert np.all(np.diff(res.record.column("area")) <= 0.0)
 
 
 CASE_ARGS = {c[0]: c[1:] for c in CASES}
@@ -191,9 +173,13 @@ def _sampled(slab, r, N):
 @example(start=_smooth("C2", 1.5, (6, 6, 6), (0.1, 0.0, 0.0)))
 def test_random_smooth_start_conserves_volume_with_clean_monitors(start):
     space, slab, r = start
-    cfg = FlowConfig(T_max=1e-3)
+    # at the default step policy the smoothest draw (mode 1 at r0 = 0.5
+    # on C1) takes ten steps to this horizon
+    cfg = FlowConfig(T_max=7e-3)
     res = run(space, _sampled(slab, r, 128), cfg)
     assert res.termination == "reached_T"
+    assert res.steps >= 10
+    assert res.dissipation_checked > 0
     assert np.max(np.abs(res.record.column("vol_drift"))) <= 1e-13
     assert np.all(np.diff(res.record.column("area")) <= 0.0)
     failures = dict(res.monitor_failures)
