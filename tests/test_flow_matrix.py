@@ -87,10 +87,10 @@ def test_short_run_conserves_volume_with_clean_monitors(args, slab, start):
                          ids=[c[0] for c in CASES])
 def test_run_to_steady_conserves_volume_with_clean_monitors(args, slab,
                                                             start):
-    # on 200 cells: near steady, where D is small and the steps reach the
-    # 1e-2 cap, the O(dz^2) gap between the discrete area and the flow's
-    # H makes C2, C2-n4, C2-wide and C5 miss the dissipation identity on
-    # 100 cells, and C2-n4 and C2-wide raise their area
+    # 200 cells, since on 100 the O(dz^2) gap between the discrete area
+    # and the flow's H shows near steady, where D is small and the steps
+    # reach the 1e-2 cap: C2, C2-n4, C2-wide and C5 miss the dissipation
+    # identity there, and C2-n4 and C2-wide raise their area
     space, prof = initial_state(args, slab, start, N=200)
     res = run(space, prof, FlowConfig(T_max=2.0))
     assert res.termination == "steady"
