@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 CASES = ("C1", "C2", "C3", "C4", "C5", "C6")
 
@@ -322,7 +321,7 @@ def sup_norms(space: AmbientSpace, rect: Rect) -> SupNorms:
     return SupNorms(rect=rect, values=values)
 
 
-# -- cumulative orbit-volume factor ---------------------------------------
+# -- cumulative volume factors ---------------------------------------------
 
 def _sin_power_integral(m: int, x):
     """Integral of sin^m over [0, x], by the power-reduction recursion."""
@@ -342,6 +341,46 @@ def _sinh_power_integral(m: int, x):
     if m == 1:
         return np.cosh(x) - 1.0
     return (np.cosh(x) * np.sinh(x) ** (m - 1) - (m - 1) * _sinh_power_integral(m - 2, x)) / m
+
+
+def _cos_power_integral(m: int, x: float) -> float:
+    """Integral of cos^m over [0, x] for |x| <= pi/2, where every term of
+    the recursion has the sign of x."""
+    if m == 0:
+        return x
+    if m == 1:
+        return math.sin(x)
+    return (math.sin(x) * math.cos(x) ** (m - 1)
+            + (m - 1) * _cos_power_integral(m - 2, x)) / m
+
+
+def _cosh_power_integral(m: int, x: float) -> float:
+    """Integral of cosh^m over [0, x]; every term has the sign of x."""
+    if m == 0:
+        return x
+    if m == 1:
+        return math.sinh(x)
+    return (math.sinh(x) * math.cosh(x) ** (m - 1)
+            + (m - 1) * _cosh_power_integral(m - 2, x)) / m
+
+
+def axial_measure(space: AmbientSpace, z: float) -> float:
+    """Closed-form integral of f^n over [0, z], for scalar z in the
+    closure of the z domain; the integral over a slab [a, b] is the
+    difference of its values at b and a."""
+    n = space.n
+    m = math.sqrt(abs(space.lam))
+    if space.case == "C1":
+        return z
+    if space.case == "C2":
+        return z ** (n + 1) / (n + 1)
+    if space.case == "C3":
+        return _cosh_power_integral(n, m * z) / m
+    if space.case == "C4":
+        return float(_sinh_power_integral(n, m * z)) / m ** (n + 1)
+    if space.case == "C5":
+        return math.expm1(n * m * z) / (n * m)
+    return _cos_power_integral(n, m * z) / m   # C6
 
 
 def radial_measure(space: AmbientSpace, R):
@@ -368,11 +407,25 @@ def radial_measure(space: AmbientSpace, R):
     return out if out.ndim else float(out)
 
 
+# radial_measure_inverse stops once its root bracket is this narrow
+INVERSE_XTOL = 1e-14
+INVERSE_RTOL = 8.9e-16
+
+
 def radial_measure_inverse(space: AmbientSpace, y: float) -> float:
     """Inverse of :func:`radial_measure` for scalar y >= 0.
 
     Raises ValueError when y exceeds the total measure of [0, h_zero]
-    (only possible when h_zero is finite).
+    (only possible when h_zero is finite); y up to 1e-13 above it, and
+    the total itself, give h_zero.
+
+    R is strictly increasing with R' = h^(n-1) and R'' = (n-1) h^(n-2)
+    h', so the root is found by Halley steps inside a bracket that each
+    trial point shrinks: a step that leaves the bracket is replaced by
+    bisection, and one shorter than the tolerance is lengthened to it,
+    so that the bracket closes from both sides even where R' vanishes
+    at h_zero.  It stops when the bracket is narrower than INVERSE_XTOL
+    + INVERSE_RTOL x and returns the end with the smaller residual.
     """
     if y < 0:
         raise ValueError(f"negative measure {y}")
@@ -385,11 +438,36 @@ def radial_measure_inverse(space: AmbientSpace, y: float) -> float:
         total = radial_measure(space, space.h_zero)
         if y > total * (1.0 + 1e-13):
             raise ValueError(f"measure {y} exceeds total {total} up to the zero of h")
-        y = min(y, total)
-        hi = space.h_zero
+        if y >= total:
+            return space.h_zero
+        lo, hi, gap_hi = 0.0, space.h_zero, total - y
     else:
-        hi = 1.0
-        while radial_measure(space, hi) < y:
-            hi *= 2.0
-    return float(brentq(lambda R: radial_measure(space, R) - y, 0.0, hi,
-                        xtol=1e-14, rtol=8.9e-16))
+        lo, hi = 0.0, 1.0
+        while (gap_hi := radial_measure(space, hi) - y) < 0.0:
+            lo, hi = hi, 2.0 * hi
+        if gap_hi == 0.0:
+            return hi
+    gap_lo = -y
+    x = (n * y) ** (1.0 / n)          # the root where h(r) = r, as a start
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    while True:
+        gap = radial_measure(space, x) - y
+        if gap == 0.0:
+            return x
+        if gap < 0.0:
+            lo, gap_lo = x, gap
+        else:
+            hi, gap_hi = x, gap
+        tol = INVERSE_XTOL + INVERSE_RTOL * x
+        if hi - lo <= tol:
+            return lo if -gap_lo <= gap_hi else hi
+        h, hp, _ = space.h(x)
+        slope = float(h) ** (n - 1)
+        den = slope * slope - 0.5 * gap * (n - 1) * float(h) ** (n - 2) * float(hp)
+        step = gap * slope / den if slope > 0.0 and den > 0.0 else math.inf
+        if abs(step) < 0.5 * tol:
+            step = math.copysign(0.5 * tol, step)
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)

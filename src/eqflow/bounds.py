@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .ambient import (AmbientSpace, Rect, SupNorms, radial_measure,
-                      radial_measure_inverse, sup_norms)
+from .ambient import (AmbientSpace, Rect, SupNorms, axial_measure,
+                      radial_measure, radial_measure_inverse, sup_norms)
 from .curve import GraphProfile
 from .geometry import (GeometrySummary, mean_curvature, principal_curvatures,
                        unit_sphere_volume)
@@ -39,11 +38,9 @@ MONITOR_DT_MAX = 1e-2
 
 
 def slab_f_integral(space: AmbientSpace, slab: tuple[float, float]) -> float:
-    """Integral of f^n over the slab, by adaptive quadrature."""
+    """Integral of f^n over the slab, in closed form."""
     space.check_z(slab)
-    val, _ = quad(lambda z: float(space.f(z)[0]) ** space.n, slab[0], slab[1],
-                  epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val
+    return axial_measure(space, slab[1]) - axial_measure(space, slab[0])
 
 
 def _far_measure(space: AmbientSpace) -> float:
@@ -340,15 +337,18 @@ class ViolationReport:
 
 
 def run_monitors(space: AmbientSpace, bound_set: BoundSet,
-                 profile: GraphProfile, summary: GeometrySummary, t: float,
+                 profile: GraphProfile | None, summary: GeometrySummary,
+                 t: float,
                  prev_area: float | None = None,
                  prev_dissipation: float | None = None,
                  dt: float | None = None) -> ViolationReport:
     """Check the current state against every a-priori bound.
 
     ``summary`` is read for ``area``, ``volume``, ``avg_H``,
-    ``dissipation`` and the slope array ``v``: a GeometrySummary, or the
-    flow's own state evaluation.
+    ``dissipation``, the slope array ``v`` and ``r_max``: a
+    GeometrySummary, or the flow's own state evaluation.  A ``profile``,
+    when given, supplies r_max in its place; the flow passes None and
+    builds no profile for its monitors.
     The radius caps (the frozen one, that of the current area, the zero of
     h) are checked with no root finding, as ``space.admits(r_max)`` and
     R(r_max) < min(cap_measure, vol_measure + area_rate * area); the
@@ -363,7 +363,7 @@ def run_monitors(space: AmbientSpace, bound_set: BoundSet,
     """
     checks: dict[str, MonitorCheck] = {}
 
-    r_max = float(np.max(profile.r))
+    r_max = summary.r_max if profile is None else float(np.max(profile.r))
     cap = min(bound_set.cap_measure,
               bound_set.vol_measure + bound_set.area_rate * summary.area)
     # the zero of h is compared as a radius (R is flat there), and R is

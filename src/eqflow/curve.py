@@ -2,8 +2,8 @@
 
 A ``GraphProfile`` stores radii on a uniform z grid over a slab [a, b] and
 is the state variable of the flow.  A ``ParamCurve`` stores a general
-parametrized curve (z(s), r(s)), optionally with exact derivative arrays;
-it exists for static geometry of curves that are not graphs over z.
+parametrized curve (z(s), r(s)) with exact derivative arrays; it exists
+for static geometry of curves that are not graphs over z.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson, trapezoid
-from scipy.interpolate import CubicSpline
 
 QUAD_RULES = ("trapezoid", "simpson")
 
@@ -61,32 +59,28 @@ class GraphProfile:
 class ParamCurve:
     """Samples of a parametrized generating curve.
 
-    ``dz``/``dr``/``d2z``/``d2r`` hold exact derivative values with respect
-    to the parameter when the caller knows them in closed form; otherwise
-    :func:`curve_derivatives` fits a cubic spline.  The grid need not be
-    uniform (the reference cycloid uses endpoint-graded spacing).
+    ``dz``/``dr``/``d2z``/``d2r`` hold the exact derivatives with respect
+    to the parameter.  The grid need not be uniform (the reference
+    cycloid uses endpoint-graded spacing).
     """
 
     s: np.ndarray
     z: np.ndarray
     r: np.ndarray
-    dz: np.ndarray | None = None
-    dr: np.ndarray | None = None
-    d2z: np.ndarray | None = None
-    d2r: np.ndarray | None = None
+    dz: np.ndarray
+    dr: np.ndarray
+    d2z: np.ndarray
+    d2r: np.ndarray
 
     def __post_init__(self):
         for name in ("s", "z", "r", "dz", "dr", "d2z", "d2r"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, _frozen_array(val))
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
         if self.s.ndim != 1 or len(self.s) < 8:
             raise ValueError("need at least 8 samples")
         if np.any(np.diff(self.s) <= 0.0):
             raise ValueError("parameter grid must be strictly increasing")
         for name in ("z", "r", "dz", "dr", "d2z", "d2r"):
-            val = getattr(self, name)
-            if val is not None and val.shape != self.s.shape:
+            if getattr(self, name).shape != self.s.shape:
                 raise ValueError(f"array {name} does not match the parameter grid")
         if np.any(self.r <= 0.0):
             raise ValueError("radii must be positive")
@@ -134,12 +128,11 @@ def quadrature(values, x=None, dx: float | None = None, rule: str = "trapezoid")
         x = np.asarray(x, dtype=float)
         if x.shape != values.shape:
             raise ValueError("mismatched sample positions")
-        if rule == "trapezoid":
-            return float(trapezoid(values, x=x))
-        return float(simpson(values, x=x))
     if rule == "trapezoid":
-        return float(trapezoid(values, dx=dx))
-    return float(simpson(values, dx=dx))
+        return float(np.trapezoid(values, x=x, dx=dx))
+    # Simpson serves the reference routes only, off the path of a run
+    from scipy.integrate import simpson
+    return float(simpson(values, x=x, dx=dx))
 
 
 def quad_weights(n_nodes: int, dx: float, rule: str = "trapezoid") -> np.ndarray:
@@ -165,16 +158,6 @@ def quad_weights(n_nodes: int, dx: float, rule: str = "trapezoid") -> np.ndarray
     w[-2] += 8.0 * dx / 12.0
     w[-1] += 5.0 * dx / 12.0
     return w
-
-
-def curve_derivatives(curve: ParamCurve):
-    """Return (dz, dr, d2z, d2r) arrays, exact if stored, else spline-based."""
-    if curve.dz is not None and curve.dr is not None \
-            and curve.d2z is not None and curve.d2r is not None:
-        return curve.dz, curve.dr, curve.d2z, curve.d2r
-    sz = CubicSpline(curve.s, curve.z)
-    sr = CubicSpline(curve.s, curve.r)
-    return (sz(curve.s, 1), sr(curve.s, 1), sz(curve.s, 2), sr(curve.s, 2))
 
 
 # -- profile snapshot format ----------------------------------------------

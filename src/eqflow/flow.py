@@ -25,21 +25,28 @@ costs one solve; the step size is controlled against a fixed per-step
 tolerance, under a cap at the largest step the dissipation monitor
 checks.
 
-The inner loop works on bare radius arrays; profile objects are built
-once per accepted step for records and monitors.  The radii must stay in
-the ambient's open band (0, h_zero): a state entering through a public
+The run loop works on bare radius arrays, and its records and monitors
+read the state evaluation; a profile object is built only for a
+snapshot and for the final state.  The radii must stay in the
+ambient's open band (0, h_zero): a state entering through a public
 function is checked once, when its ``GraphGrid`` is built, and each
 trial state of a step (a Newton iterate) is tested once with
 ``AmbientSpace.admits``; an inadmissible trial rejects the attempt.
+
+The tridiagonal solves call LAPACK's dgtsv, loaded from scipy's
+compiled LAPACK extension by :func:`_load_dgtsv`, so a run imports
+numpy and that one extension but no scipy subpackage.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .ambient import AmbientSpace, radial_measure
 from .bounds import MONITOR_DT_MAX, BoundSet, compute_bound_set, run_monitors
@@ -56,6 +63,32 @@ NEWTON_MAX = 6
 NEWTON_RTOL = 1e-15
 
 TERMINATIONS = ("reached_T", "steady", "singular_axis", "step_failure")
+
+
+def _load_dgtsv():
+    """LAPACK's dgtsv as ``scipy.linalg.lapack`` exports it, taken from
+    the compiled ``scipy.linalg._flapack`` extension loaded by file under
+    its own name.  This skips the ``scipy.linalg`` package import (its
+    array-API shim, ``numpy.f2py`` and ``numpy.testing``), which costs a
+    fresh run more time than the run's own steps.  A later import of
+    ``scipy.linalg`` finds the extension already loaded and exports the
+    same function.  Without the file, the public import is used."""
+    spec = importlib.util.find_spec("scipy")
+    folders = spec.submodule_search_locations if spec else None
+    for folder in folders or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(folder, "linalg", "_flapack" + suffix)
+            if path.is_file():
+                ext = importlib.util.spec_from_file_location(
+                    "scipy.linalg._flapack", path)
+                module = importlib.util.module_from_spec(ext)
+                ext.loader.exec_module(module)
+                return module.dgtsv
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
+
+
+dgtsv = _load_dgtsv()
 
 
 def _reject(problems: list[str]) -> None:
@@ -102,7 +135,8 @@ class FlowStepError(RuntimeError):
 @dataclass
 class _StateEval:
     """Terms, average and area of one state; the rest filled by _full_eval.
-    Has the ``area``, ``volume``, ``avg_H`` and ``v`` run_monitors reads.
+    Has the ``area``, ``volume``, ``avg_H``, ``dissipation``, ``v`` and
+    ``r_max`` run_monitors reads.
     ``prev`` is the accepted state a step of size ``dt_prev`` came from,
     kept one level deep, so an update from this state is SBDF2."""
 
@@ -399,12 +433,11 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
     dt_lo, dt_hi = math.inf, 0.0
     err_max = 0.0
     dt_next = config.dt.dt_max
-    prof = initial
 
     def emit(row_dt: float) -> None:
         prev = ev.prev
         report = run_monitors(
-            space, bounds_now, prof, ev, t,
+            space, bounds_now, None, ev, t,
             prev_area=None if prev is None else prev.area,
             prev_dissipation=None if prev is None else prev.dissipation,
             dt=None if prev is None else ev.dt_prev)
@@ -427,9 +460,12 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
                           and not c["area_monotone"].passed),
             vol_drift=(ev.volume - volume0) / volume0))
 
+    def current() -> GraphProfile:
+        return initial.with_radii(ev.r) if steps else initial
+
     def snap() -> None:
         if snapshot_every > 0 and (steps % snapshot_every == 0):
-            result.snapshots.append((steps, t, prof))
+            result.snapshots.append((steps, t, current()))
 
     emit(0.0)
     snap()
@@ -477,7 +513,6 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
         new_ev = _full_eval(g, accepted)
         new_ev.prev, new_ev.dt_prev = ev, dt
         ev = new_ev
-        prof = initial.with_radii(accepted)
 
         if run_lo > ev.r_min or run_hi < ev.r_max:
             run_lo = min(run_lo, ev.r_min)
@@ -504,9 +539,10 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
 
     if record.rows and record.rows[-1].t < t:
         emit(ev.dt_prev)
+    result.profile = current()
     if snapshot_every > 0 and (not result.snapshots
                                or result.snapshots[-1][0] != steps):
-        result.snapshots.append((steps, t, prof))
+        result.snapshots.append((steps, t, result.profile))
     result.t_final = t
     result.steps = steps
     result.stats = {"attempts": attempts, "rejected": attempts - steps,
@@ -514,5 +550,4 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
                     "dt_max": dt_hi if steps else None,
                     "dt_mean": t / steps if steps else None,
                     "err_ratio_max": err_max / STEP_TOL if steps else None}
-    result.profile = prof
     return result

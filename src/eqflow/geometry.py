@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import AmbientSpace, radial_measure
-from .curve import (GraphProfile, ParamCurve, curve_derivatives, diff,
-                    diff_radii, quad_weights, quadrature)
+from .curve import (GraphProfile, ParamCurve, diff, diff_radii, quad_weights,
+                    quadrature)
 
 
 def unit_sphere_volume(n: int) -> float:
@@ -39,8 +39,8 @@ def _curve_arrays(curve):
         one = np.ones_like(z)
         return z, z, curve.r, one, rdot, np.zeros_like(z), rddot
     if isinstance(curve, ParamCurve):
-        dz, dr, d2z, d2r = curve_derivatives(curve)
-        return curve.s, curve.z, curve.r, dz, dr, d2z, d2r
+        return (curve.s, curve.z, curve.r, curve.dz, curve.dr, curve.d2z,
+                curve.d2r)
     raise TypeError(f"expected GraphProfile or ParamCurve, got {type(curve)!r}")
 
 
@@ -244,7 +244,8 @@ class GeometrySummary:
     The graph quantities are u = f/speed and v = speed/f: v >= 1/f
     always, with equality exactly at critical points of r, and finite v
     is the graph condition.  ``dissipation`` is the area-decay integral
-    of (avg_H - H)^2 over the hypersurface.
+    of (avg_H - H)^2 over the hypersurface, and ``r_max`` the largest
+    radius.
     """
 
     k1: np.ndarray
@@ -259,6 +260,7 @@ class GeometrySummary:
     avg_H: float
     dissipation: float
     sphere_volume: float
+    r_max: float
 
 
 def summarize(space: AmbientSpace, profile: GraphProfile,
@@ -282,4 +284,5 @@ def summarize(space: AmbientSpace, profile: GraphProfile,
         dissipation=omega * quadrature((avg_H - H) ** 2 * elem, x=e.s,
                                        rule=rule),
         sphere_volume=omega,
+        r_max=float(np.max(e.r)),
     )

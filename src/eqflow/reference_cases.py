@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ambient import AmbientSpace, make_space
 from .curve import GraphProfile, ParamCurve
@@ -81,6 +80,8 @@ def find_turning_points(lo: float = SCAN_LO, hi: float = SCAN_HI,
     bracketed root solve.  Raises when no sign change is found, which is
     what a constant-radius curve produces.
     """
+    from scipy.optimize import brentq   # off the path of a run
+
     if rdot is None:
         rdot = cycloid_rdot
     grid = np.linspace(lo, hi, n_scan + 1)

@@ -349,6 +349,43 @@ def test_radial_measure_inverse_unbounded_side():
     assert radial_measure_inverse(sp, 50.0) == pytest.approx(10.0, rel=1e-14)
 
 
+# (case, lam, lam_h) of every family with a curved h, mismatched rates
+# included
+CURVED_H = [("C2", None, None), ("C3", -1.0, None), ("C3", -1.0, -2.0),
+            ("C4", -1.0, None), ("C6", 1.0, None), ("C6", 1.0, 3.0)]
+CURVED_H_IDS = ["C2", "C3", "C3-mismatched", "C4", "C6", "C6-mismatched"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("case,lam,lam_h", CURVED_H, ids=CURVED_H_IDS)
+def test_radial_measure_inverse_round_trip_to_the_last_bits(case, lam,
+                                                            lam_h, n):
+    # away from r = 0 and from the zero of h, where R itself loses bits
+    sp = make_space(case, lam=lam, n=n, lam_h=lam_h)
+    top = sp.h_zero if sp.h_zero is not None else 3.0
+    for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
+        R = frac * top
+        assert radial_measure_inverse(sp, radial_measure(sp, R)) \
+            == pytest.approx(R, rel=0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("case,lam,lam_h",
+                         [c for c in CURVED_H if c[0] != "C3"],
+                         ids=[i for i in CURVED_H_IDS if "C3" not in i])
+def test_radial_measure_inverse_is_exact_at_the_far_axis(case, lam, lam_h,
+                                                         n):
+    sp = make_space(case, lam=lam, n=n, lam_h=lam_h)
+    total = radial_measure(sp, sp.h_zero)
+    assert radial_measure_inverse(sp, total) == sp.h_zero
+    assert radial_measure_inverse(sp, total * (1.0 + 1e-13)) == sp.h_zero
+    with pytest.raises(ValueError, match="exceeds total"):
+        radial_measure_inverse(sp, total * (1.0 + 2e-13))
+    # one ulp below the total, where R' = h^(n-1) all but vanishes
+    below = radial_measure_inverse(sp, math.nextafter(total, 0.0))
+    assert 0.0 < sp.h_zero - below < 1e-3
+
+
 def test_space_is_hashable_and_immutable():
     sp = make_space("C6", lam=1.0, n=2)
     assert {sp: "ok"}[make_space("C6", lam=1.0, n=2)] == "ok"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from eqflow import ambient, bounds, flow
 from eqflow.ambient import Rect, make_space, sup_norms
@@ -354,6 +355,9 @@ def test_monitors_flag_corrupted_radius():
     check = report.checks["radius_cap"]
     assert check.observed == pytest.approx(10.0, rel=1e-12)
     assert not check.passed
+    # without a profile, r_max is the summary's
+    assert bad_summ.r_max == float(np.max(bad.r))
+    assert run_monitors(C1, bset, None, bad_summ, 0.1) == report
 
 
 # One space per family, as the benchmark flows them; C3 is the mismatched
@@ -366,6 +370,34 @@ MONITOR_SPACES = [
     (dict(case="C5", lam=-1.0), (0.0, 1.0)),
     (dict(case="C6", lam=1.0), (-0.5, 0.5)),
 ]
+
+
+# (id, space, slab) of every family on slabs inside its z domain,
+# mismatched rates included
+F_SLABS = [
+    ("C1", dict(case="C1"), (0.0, 1.0)),
+    ("C2", dict(case="C2"), (1.0, 2.0)),
+    ("C2-wide", dict(case="C2"), (0.05, 3.0)),
+    ("C3", dict(case="C3", lam=-1.0), (-0.5, 0.5)),
+    ("C3-mismatched", dict(case="C3", lam=-2.0, lam_h=-0.5), (0.2, 1.7)),
+    ("C4", dict(case="C4", lam=-1.0), (1.0, 2.0)),
+    ("C4-thin", dict(case="C4", lam=-0.5), (0.1, 0.4)),
+    ("C5", dict(case="C5", lam=-1.0), (0.0, 1.0)),
+    ("C5-wide", dict(case="C5", lam=-2.0), (-3.0, 5.0)),
+    ("C6", dict(case="C6", lam=1.0), (-0.5, 0.5)),
+    ("C6-mismatched", dict(case="C6", lam=1.0, lam_h=2.0), (-1.5, 1.2)),
+    ("C6-thin", dict(case="C6", lam=4.0), (0.1, 0.7)),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kwargs,slab", [c[1:] for c in F_SLABS],
+                         ids=[c[0] for c in F_SLABS])
+def test_slab_f_integral_matches_adaptive_quadrature(kwargs, slab, n):
+    space = make_space(n=n, **kwargs)
+    ref, _ = quad(lambda z: float(space.f(z)[0]) ** n, slab[0], slab[1],
+                  epsabs=0.0, epsrel=1.2e-14, limit=200)
+    assert slab_f_integral(space, slab) == pytest.approx(ref, rel=1e-13)
 
 
 def _monitor_setup(kwargs, slab, area_scale=1.0):
@@ -420,7 +452,7 @@ def test_measure_space_radius_cap_matches_radius_space(kwargs, slab):
 
 
 def test_radius_cap_check_finds_no_root_on_a_passing_record(monkeypatch):
-    counts = {"inverse": 0, "quad": 0, "brentq": 0}
+    counts = {"inverse": 0, "integral": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -430,21 +462,20 @@ def test_radius_cap_check_finds_no_root_on_a_passing_record(monkeypatch):
 
     monkeypatch.setattr(bounds, "radial_measure_inverse",
                         counting("inverse", bounds.radial_measure_inverse))
-    monkeypatch.setattr(bounds, "quad", counting("quad", bounds.quad))
-    monkeypatch.setattr(ambient, "brentq", counting("brentq", ambient.brentq))
+    monkeypatch.setattr(bounds, "slab_f_integral",
+                        counting("integral", bounds.slab_f_integral))
     for kwargs, slab in MONITOR_SPACES:
         space, prof, summ, bset, _ = _monitor_setup(kwargs, slab)
-        counts.update(inverse=0, quad=0, brentq=0)
+        counts.update(inverse=0, integral=0)
         report = run_monitors(space, bset, prof, summ, 0.1,
                               prev_area=summ.area * (1.0 + 1e-9),
                               prev_dissipation=1.0, dt=1e-5)
         assert report.checks["radius_cap"].passed
-        assert counts == {"inverse": 0, "quad": 0, "brentq": 0}
+        assert counts == {"inverse": 0, "integral": 0}
         bad = prof.with_radii(prof.r * (1.01 * bset.r_cap / np.max(prof.r)))
         report = run_monitors(space, bset, bad, summ, 0.1)
         assert not report.checks["radius_cap"].passed
-        assert counts["inverse"] == 1 and counts["quad"] == 0
-        assert counts["brentq"] <= 1
+        assert counts == {"inverse": 1, "integral": 0}
 
 
 @pytest.mark.parametrize("kwargs,slab", [MONITOR_SPACES[i] for i in (0, 1, 5)],
@@ -452,7 +483,7 @@ def test_radius_cap_check_finds_no_root_on_a_passing_record(monkeypatch):
 def test_freeze_integrates_f_once_and_takes_sup_norms_once(monkeypatch,
                                                            kwargs, slab):
     space, _, summ, bset, area0 = _monitor_setup(kwargs, slab)
-    counts = {"quad": 0, "sup_norms": 0, "ricci": 0}
+    counts = {"integral": 0, "sup_norms": 0, "ricci": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -460,14 +491,15 @@ def test_freeze_integrates_f_once_and_takes_sup_norms_once(monkeypatch,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(bounds, "quad", counting("quad", bounds.quad))
+    monkeypatch.setattr(bounds, "slab_f_integral",
+                        counting("integral", bounds.slab_f_integral))
     monkeypatch.setattr(bounds, "sup_norms",
                         counting("sup_norms", bounds.sup_norms))
     monkeypatch.setattr(ambient, "ricci_normal_bound",
                         counting("ricci", ambient.ricci_normal_bound))
     again = compute_bound_set(space, slab, bset.volume0, area0, bset.r_lo,
                               bset.r_hi, bset.max_v0)
-    assert counts == {"quad": 1, "sup_norms": 1, "ricci": 1}
+    assert counts == {"integral": 1, "sup_norms": 1, "ricci": 1}
     assert again == bset
 
 

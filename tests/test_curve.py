@@ -54,8 +54,9 @@ def test_profile_radii_are_frozen():
 
 def test_param_curve_requires_increasing_parameter():
     s = np.array([0.0, 1.0, 0.5, 2.0, 3.0, 4.0, 5.0, 6.0])
+    one, zero = np.ones_like(s), np.zeros_like(s)
     with pytest.raises(ValueError):
-        ParamCurve(s=s, z=s, r=np.ones_like(s))
+        ParamCurve(s=s, z=s, r=one, dz=one, dr=zero, d2z=zero, d2r=zero)
 
 
 # -- differentiation -------------------------------------------------------

@@ -478,6 +478,24 @@ def test_run_snapshots_cover_start_and_end():
         assert isinstance(prof, GraphProfile)
 
 
+@pytest.mark.parametrize("every", [0, 3])
+def test_run_builds_profiles_only_for_snapshots_and_the_end(monkeypatch,
+                                                            every):
+    built = []
+    post_init = GraphProfile.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    initial = perturbed()
+    monkeypatch.setattr(GraphProfile, "__post_init__", counting)
+    res = run(FLAT, initial, quick_config(), snapshot_every=every)
+    kept = {id(prof) for _, _, prof in res.snapshots if prof is not initial}
+    assert res.steps >= 10
+    assert sorted(map(id, built)) == sorted(kept | {id(res.profile)})
+
+
 def test_run_detects_axis_pinching():
     initial = perturbed(radius=0.25, amplitude=0.12)
     cfg = FlowConfig(T_max=0.1)

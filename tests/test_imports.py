@@ -11,10 +11,18 @@ somewhere in the package, the scripts, the tests or the benchmark, as a
 name, an attribute or an imported name.  Each script is also loaded and
 asked for ``--help``, so one that imports a name the package no longer
 has fails here.
+
+A fresh interpreter that runs a config through the command line loads
+no scipy subpackage, and the LAPACK routine the flow loads directly is
+the one ``scipy.linalg.lapack`` exports.
 """
 
 import ast
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,3 +137,79 @@ def test_script_help_exits_cleanly(path, capsys):
         module.main(["--help"])
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def _fresh_python(code: str, cwd: Path) -> dict:
+    """Run ``code`` in a new interpreter that imports eqflow from this
+    tree; it prints one JSON line, which is returned."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# C2, so that freezing the bounds integrates f^n and inverts R; five
+# steps at the dt cap, a power of two so that they sum to T_max exactly
+FIVE_STEP_RUN = """
+import json, sys
+from eqflow import cli
+doc = {"space": {"case": "C2"}, "slab": {"a": 1.0, "b": 2.0},
+       "grid": {"N": 64},
+       "initial": {"kind": "perturbed", "radius": 1.0, "amplitude": 0.1},
+       "flow": {"T_max": 5 * 2.0**-16, "dt_policy": {"dt_max": 2.0**-16}}}
+with open("run.json", "w") as fh:
+    json.dump(doc, fh)
+code = cli.main(["run", "--config", "run.json", "--out", "out"])
+with open("out/summary.json") as fh:
+    steps = json.load(fh)["steps"]
+print(json.dumps({"code": code, "steps": steps, "modules": sorted(sys.modules)}))
+"""
+
+SCIPY_OFF_THE_RUN_PATH = ("scipy.optimize", "scipy.integrate",
+                          "scipy.interpolate", "scipy.sparse",
+                          "scipy.spatial", "scipy.linalg")
+
+
+def test_a_run_loads_no_scipy_subpackage(tmp_path):
+    out = _fresh_python(FIVE_STEP_RUN, tmp_path)
+    assert out["code"] == 0 and out["steps"] == 5
+    loaded = [m for m in out["modules"]
+              if any(m == p or m.startswith(p + ".")
+                     for p in SCIPY_OFF_THE_RUN_PATH)]
+    # the LAPACK extension itself, loaded without its package
+    assert loaded == ["scipy.linalg._flapack"]
+
+
+DGTSV_AGAINST_SCIPY = """
+import json, sys
+import numpy as np
+from eqflow import flow
+before = "scipy.linalg" in sys.modules
+from scipy.linalg.lapack import dgtsv
+rng = np.random.default_rng(26)
+same = []
+for N in (101, 401, 1601):
+    dl, du = rng.uniform(-1.0, 1.0, (2, N - 1))
+    d = 2.0 + rng.uniform(0.0, 1.0, N)
+    b = np.asfortranarray(rng.standard_normal((N, 2)))
+    got = flow.dgtsv(dl.copy(), d.copy(), du.copy(), b.copy())
+    ref = dgtsv(dl.copy(), d.copy(), du.copy(), b.copy())
+    same.append([np.asarray(g).tobytes() == np.asarray(r).tobytes()
+                 for g, r in zip(got, ref)] + [int(got[-1]), int(ref[-1])])
+print(json.dumps({"before": before, "same": same,
+                  "identical": flow.dgtsv is dgtsv}))
+"""
+
+
+def test_direct_dgtsv_is_scipys_bit_for_bit(tmp_path):
+    out = _fresh_python(DGTSV_AGAINST_SCIPY, tmp_path)
+    # the flow did not import scipy.linalg, and importing it afterwards works
+    assert out["before"] is False
+    assert out["identical"] is True
+    for row in out["same"]:
+        *equal, info_got, info_ref = row
+        assert all(equal) and len(equal) == 5
+        assert info_got == info_ref == 0
