@@ -43,10 +43,6 @@ class Rect:
         if not (self.z_lo < self.z_hi and self.r_lo < self.r_hi):
             raise ValueError(f"degenerate rectangle {self}")
 
-    def contains(self, other: "Rect") -> bool:
-        return (self.z_lo <= other.z_lo and other.z_hi <= self.z_hi
-                and self.r_lo <= other.r_lo and other.r_hi <= self.r_hi)
-
 
 @dataclass(frozen=True)
 class CurvatureComponents:
@@ -287,12 +283,10 @@ def ricci_normal_bound(space: AmbientSpace, rect: Rect) -> float:
                      np.max(np.abs(ric_sph))))
 
 
-SUP_NORM_KEYS = ("f^2", "f^-1", "f^-2", "f^-n", "f'/f",
-                 "h'/h", "h'/(f h)", "h''/h", "h'^2/h^2", "ricci")
-
-
 def sup_norms(space: AmbientSpace, rect: Rect) -> SupNorms:
-    """Suprema of the expressions in ``SUP_NORM_KEYS`` over ``rect``.
+    """Suprema of the warping-function expressions over ``rect``: f^2,
+    f^-1, f^-2, f^-n, f'/f, h'/h, h'/(f h), h''/h, h'^2/h^2 and the Ricci
+    bound (:func:`ricci_normal_bound`).
 
     Each per-axis expression in the model families is piecewise monotone
     with interior extrema only at z = 0, so evaluating at the rectangle
@@ -323,24 +317,56 @@ def sup_norms(space: AmbientSpace, rect: Rect) -> SupNorms:
 
 # -- cumulative volume factors ---------------------------------------------
 
-def _sin_power_integral(m: int, x):
-    """Integral of sin^m over [0, x], by the power-reduction recursion."""
-    x = np.asarray(x, dtype=float)
+# Below _SMALL_ARG the power-reduction recursions for sin^m and sinh^m
+# cancel (their terms are O(x^(m-1)), the integral O(x^(m+1))), and the
+# integral is the 12-point Gauss-Legendre rule's, exact to rounding there
+# for m up to about 20.  Its positive nodes on [-1, 1] and their weights:
+_SMALL_ARG = 0.5
+_GL_NODES = np.array([0.1252334085114689, 0.3678314989981802,
+                      0.5873179542866175, 0.7699026741943047,
+                      0.9041172563704749, 0.9815606342467192])
+_GL_WEIGHTS = np.array([0.24914704581340277, 0.2334925365383548,
+                        0.20316742672306592, 0.16007832854334622,
+                        0.10693932599531843, 0.04717533638651183])
+_GL_UNIT = 0.5 * np.concatenate([1.0 - _GL_NODES[::-1], 1.0 + _GL_NODES])
+_GL_UNIT_WEIGHTS = 0.5 * np.concatenate([_GL_WEIGHTS[::-1], _GL_WEIGHTS])
+
+
+def _sin_power_recursion(m: int, x: np.ndarray):
+    """Integral of sin^m over [0, x] by the power-reduction recursion."""
     if m == 0:
         return x.copy()
     if m == 1:
         return 1.0 - np.cos(x)
-    return (-np.cos(x) * np.sin(x) ** (m - 1) + (m - 1) * _sin_power_integral(m - 2, x)) / m
+    return (-np.cos(x) * np.sin(x) ** (m - 1)
+            + (m - 1) * _sin_power_recursion(m - 2, x)) / m
 
 
-def _sinh_power_integral(m: int, x):
-    """Integral of sinh^m over [0, x]."""
-    x = np.asarray(x, dtype=float)
+def _sinh_power_recursion(m: int, x: np.ndarray):
+    """Integral of sinh^m over [0, x] by the power-reduction recursion."""
     if m == 0:
         return x.copy()
     if m == 1:
         return np.cosh(x) - 1.0
-    return (np.cosh(x) * np.sinh(x) ** (m - 1) - (m - 1) * _sinh_power_integral(m - 2, x)) / m
+    return (np.cosh(x) * np.sinh(x) ** (m - 1)
+            - (m - 1) * _sinh_power_recursion(m - 2, x)) / m
+
+
+def _power_integral(fn, m: int, x):
+    """Integral of fn^m over [0, x] for fn np.sin (0 <= x <= pi) or
+    np.sinh (x >= 0): the power-reduction recursion, or the Gauss-Legendre
+    rule where x < _SMALL_ARG."""
+    x = np.asarray(x, dtype=float)
+    out = (_sin_power_recursion if fn is np.sin else _sinh_power_recursion)(m, x)
+    if x.min() < _SMALL_ARG:
+        small = x < _SMALL_ARG
+        out = np.array(out)
+        xs = x[small]
+        # a sum per row, not a matrix product, so that each entry is the
+        # same whatever the shape of x
+        out[small] = xs * np.sum(fn(np.multiply.outer(xs, _GL_UNIT)) ** m
+                                 * _GL_UNIT_WEIGHTS, axis=-1)
+    return out
 
 
 def _cos_power_integral(m: int, x: float) -> float:
@@ -377,7 +403,7 @@ def axial_measure(space: AmbientSpace, z: float) -> float:
     if space.case == "C3":
         return _cosh_power_integral(n, m * z) / m
     if space.case == "C4":
-        return float(_sinh_power_integral(n, m * z)) / m ** (n + 1)
+        return float(_power_integral(np.sinh, n, m * z)) / m ** (n + 1)
     if space.case == "C5":
         return math.expm1(n * m * z) / (n * m)
     return _cos_power_integral(n, m * z) / m   # C6
@@ -397,13 +423,13 @@ def radial_measure(space: AmbientSpace, R):
     if space.case in ("C1", "C5"):
         out = R ** n / n
     elif space.case in ("C2", "C4"):
-        out = _sin_power_integral(n - 1, R)
+        out = _power_integral(np.sin, n - 1, R)
     elif space.case == "C3":
         m = math.sqrt(abs(space.lam_h))
-        out = _sinh_power_integral(n - 1, m * R) / m**n
+        out = _power_integral(np.sinh, n - 1, m * R) / m**n
     else:  # C6
         m = math.sqrt(abs(space.lam_h))
-        out = _sin_power_integral(n - 1, m * R) / m**n
+        out = _power_integral(np.sin, n - 1, m * R) / m**n
     return out if out.ndim else float(out)
 
 

@@ -9,7 +9,9 @@ benchmark across curvature scales).
 
 Exit codes for ``run``: 0 when the flow reaches the time horizon or a
 steady state, 2 on axis contact, 3 on step failure; every subcommand
-returns 1 on configuration errors and 4 on I/O failures.  All file
+returns 1 on configuration errors and 4 on I/O failures.  A malformed
+command line, an out-of-range ``--samples`` included, is a usage error:
+argparse reports it and exits 2 before any work.  All file
 output is written atomically (temp file then rename), so rerunning a
 command cannot leave a half-written artifact.
 """
@@ -65,6 +67,18 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer of at least ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse names it in "invalid int value"
+    return parse
 
 
 def cmd_run(args) -> int:
@@ -202,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="rolling-curve averaged-curvature benchmark")
     p_app.add_argument("--case", choices=reference_cases.BENCHMARK_CASES,
                        default="C2")
-    p_app.add_argument("--samples", type=int, default=10000)
+    p_app.add_argument("--samples", default=10000,
+                       type=_int_at_least(reference_cases._MIN_SAMPLES))
     p_app.add_argument("--out", default=None)
     p_app.set_defaults(func=cmd_appendix_b)
 
@@ -210,12 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="sampled space-form curvature check")
     p_ver.add_argument("--config", default=None)
     p_ver.add_argument("--case", choices=ambient.CASES, default=None)
-    p_ver.add_argument("--samples", type=int, default=1000)
+    p_ver.add_argument("--samples", type=_int_at_least(1), default=1000)
     p_ver.set_defaults(func=cmd_verify_curvature)
 
     p_sw = sub.add_parser("sweep",
                           help="benchmark across curvature scales")
-    p_sw.add_argument("--samples", type=int, default=4000)
+    p_sw.add_argument("--samples", default=4000,
+                      type=_int_at_least(reference_cases._MIN_SAMPLES))
     p_sw.add_argument("--out", default=None)
     p_sw.set_defaults(func=cmd_sweep)
     return parser

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-QUAD_RULES = ("trapezoid", "simpson")
-
-
 def _frozen_array(x) -> np.ndarray:
     out = np.array(x, dtype=float)
     out.flags.writeable = False
@@ -110,53 +107,30 @@ def diff_radii(r: np.ndarray, dz: float) -> tuple[np.ndarray, np.ndarray]:
     return rdot, rddot
 
 
-def quadrature(values, x=None, dx: float | None = None, rule: str = "trapezoid") -> float:
-    """Composite quadrature of sampled values.
-
-    Exactly one of ``x`` (sample positions, possibly non-uniform) or
-    ``dx`` (uniform spacing) must be given.  ``rule`` is "trapezoid"
-    (default, positivity-preserving) or "simpson".
-    """
+def quadrature(values, x, rule: str = "trapezoid") -> float:
+    """Composite quadrature of values sampled at the positions ``x``
+    (possibly non-uniform).  ``rule`` is "trapezoid" (default,
+    positivity-preserving) or "simpson"."""
     values = np.asarray(values, dtype=float)
+    x = np.asarray(x, dtype=float)
     if values.ndim != 1 or len(values) < 2:
         raise ValueError("need a 1-d array with at least 2 samples")
-    if (x is None) == (dx is None):
-        raise ValueError("pass exactly one of x and dx")
-    if rule not in QUAD_RULES:
-        raise ValueError(f"unknown rule {rule!r}; expected one of {QUAD_RULES}")
-    if x is not None:
-        x = np.asarray(x, dtype=float)
-        if x.shape != values.shape:
-            raise ValueError("mismatched sample positions")
+    if x.shape != values.shape:
+        raise ValueError("mismatched sample positions")
     if rule == "trapezoid":
-        return float(np.trapezoid(values, x=x, dx=dx))
+        return float(np.trapezoid(values, x=x))
+    if rule != "simpson":
+        raise ValueError(f"unknown rule {rule!r}; expected trapezoid or simpson")
     # Simpson serves the reference routes only, off the path of a run
     from scipy.integrate import simpson
-    return float(simpson(values, x=x, dx=dx))
+    return float(simpson(values, x=x))
 
 
-def quad_weights(n_nodes: int, dx: float, rule: str = "trapezoid") -> np.ndarray:
-    """Weights w with w @ values == quadrature(values, dx=dx, rule=rule)."""
-    if rule not in QUAD_RULES:
-        raise ValueError(f"unknown rule {rule!r}; expected one of {QUAD_RULES}")
+def quad_weights(n_nodes: int, dx: float) -> np.ndarray:
+    """Trapezoid weights w with w @ values == quadrature(values, x) on
+    ``n_nodes`` uniform nodes ``dx`` apart."""
     w = np.full(n_nodes, dx)
-    if rule == "trapezoid":
-        w[0] = w[-1] = dx / 2.0
-        return w
-    if n_nodes % 2 == 1:
-        w[0] = w[-1] = dx / 3.0
-        w[1:-1:2] = 4.0 * dx / 3.0
-        w[2:-1:2] = 2.0 * dx / 3.0
-        return w
-    if n_nodes == 2:
-        return np.full(2, dx / 2.0)
-    # even sample count: Simpson on the first n-1 nodes plus the asymmetric
-    # quadratic rule on the last interval, matching scipy's convention
-    w = np.zeros(n_nodes)
-    w[:-1] = quad_weights(n_nodes - 1, dx, "simpson")
-    w[-3] -= dx / 12.0
-    w[-2] += 8.0 * dx / 12.0
-    w[-1] += 5.0 * dx / 12.0
+    w[0] = w[-1] = dx / 2.0
     return w
 
 

@@ -25,13 +25,17 @@ costs one solve; the step size is controlled against a fixed per-step
 tolerance, under a cap at the largest step the dissipation monitor
 checks.
 
-The run loop works on bare radius arrays, and its records and monitors
-read the state evaluation; a profile object is built only for a
-snapshot and for the final state.  The radii must stay in the
-ambient's open band (0, h_zero): a state entering through a public
-function is checked once, when its ``GraphGrid`` is built, and each
-trial state of a step (a Newton iterate) is tested once with
-``AmbientSpace.admits``; an inadmissible trial rejects the attempt.
+A run is a stepper and an observer.  The stepper (:func:`_stepper`)
+does the step control on bare radius arrays: it takes the steps,
+decides every termination and yields each accepted state.  The
+observer (:func:`run`) refreezes the bounds, runs the monitors and
+writes the records and snapshots from the state evaluation; a profile
+object is built only for a snapshot and for the final state.  The
+radii must stay in the ambient's open band (0, h_zero): a state
+entering through a public function is checked once, when its
+``GraphGrid`` is built, and each trial state of a step (a Newton
+iterate) is tested once with ``AmbientSpace.admits``; an inadmissible
+trial rejects the attempt.
 
 The tridiagonal solves call LAPACK's dgtsv, loaded from scipy's
 compiled LAPACK extension by :func:`_load_dgtsv`, so a run imports
@@ -43,7 +47,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +65,6 @@ MAX_RETRIES = 60
 # the gap by about one ulp, so a tighter stop may never be met)
 NEWTON_MAX = 6
 NEWTON_RTOL = 1e-15
-
-TERMINATIONS = ("reached_T", "steady", "singular_axis", "step_failure")
 
 
 def _load_dgtsv():
@@ -274,14 +276,6 @@ def _step_error(g: GraphGrid, ev: _StateEval, dt: float,
     return dt / (dt + ev.dt_prev) * float(np.max(np.abs(gap)))
 
 
-def flow_rhs(space: AmbientSpace, profile: GraphProfile,
-             avg_H: float) -> np.ndarray:
-    """Pointwise time derivative of the radii for a given average."""
-    g = GraphGrid(space, profile)
-    t = graph_terms(g, profile.r)
-    return t.local + avg_H * t.speed / g.f
-
-
 def averaged_for_step(space: AmbientSpace, profile: GraphProfile) -> float:
     """The state's average: the Newton start of the volume multiplier of
     a step from this state."""
@@ -311,11 +305,6 @@ def step(space: AmbientSpace, profile: GraphProfile,
     return profile.with_radii(r_new)
 
 
-COLUMNS = ("t", "dt", "area", "volume", "avgH", "r_min", "r_max", "v_max",
-           "L_max", "sup_H_dev", "viol_r2", "viol_h2", "viol_vbound",
-           "viol_area", "vol_drift")
-
-
 @dataclass(frozen=True)
 class RecordRow:
     t: float
@@ -333,6 +322,9 @@ class RecordRow:
     viol_vbound: int
     viol_area: int
     vol_drift: float
+
+
+COLUMNS = tuple(f.name for f in fields(RecordRow))
 
 
 @dataclass
@@ -390,6 +382,103 @@ def initial_bound_set(space: AmbientSpace, initial: GraphProfile) -> BoundSet:
     return _initial_bounds(g, _full_eval(g, initial.r))
 
 
+def _stepper(g: GraphGrid, ev: _StateEval, config: FlowConfig,
+             target: float):
+    """Step control of :func:`run`, from the initial state ``ev``.
+
+    Yields ``(steps, t, ev, stop)`` for the initial state and for each
+    accepted state.  ``stop`` is None while the run steps on from the
+    state, and at the last state it is (termination, singular side,
+    step-control stats).  Every termination is decided here, at the
+    state it ends on: axis contact (not for the initial state), then
+    steady, then the time horizon, then a step that no attempt passes:
+    each attempt is one update, and a rejected one shrinks dt, down to
+    ``dt_min`` and for at most MAX_RETRIES attempts.  The attempts from
+    a state are made before it is yielded and its successor is
+    evaluated after, so it links its predecessor while it is observed.
+    """
+    space, policy = g.space, config.dt
+    t = 0.0
+    steps = attempts = 0
+    dt_lo, dt_hi, err_max = math.inf, 0.0, 0.0
+    dt_next = policy.dt_max
+    while True:
+        end = side = None
+        if steps and ev.r_min <= config.eps_axis:
+            end, side = "singular_axis", "axis_min"
+        elif (steps and space.h_zero is not None
+              and ev.r_max >= space.h_zero - config.eps_axis):
+            end, side = "singular_axis", "axis_max"
+        elif ev.sup_dev <= config.eps_cmc:
+            end = "steady"
+        elif t >= config.T_max * (1.0 - 1e-14):
+            end = "reached_T"
+        else:
+            dt = min(dt_next, config.T_max - t)
+            for _ in range(MAX_RETRIES):
+                attempts += 1
+                r_new = _imex_update(g, ev, dt, target)
+                err = (math.inf if r_new is None
+                       else _step_error(g, ev, dt, r_new))
+                if err <= STEP_TOL or dt <= policy.dt_min:
+                    break
+                shrink = 0.5 if not math.isfinite(err) else max(
+                    0.1, min(0.5, 0.9 * math.sqrt(STEP_TOL / err)))
+                dt = max(dt * shrink, policy.dt_min)
+            if err > STEP_TOL:
+                end = "step_failure"
+        if end is not None:
+            yield steps, t, ev, (end, side, {
+                "attempts": attempts, "rejected": attempts - steps,
+                "dt_min": dt_lo if steps else None,
+                "dt_max": dt_hi if steps else None,
+                "dt_mean": t / steps if steps else None,
+                "err_ratio_max": err_max / STEP_TOL if steps else None})
+            return
+        yield steps, t, ev, None
+        # a grow cap of 2 keeps the step ratio below 1 + sqrt(2), the
+        # zero-stability limit of variable-step BDF2
+        grow = 2.0 if err == 0.0 else min(2.0, 0.9 * math.sqrt(STEP_TOL / err))
+        dt_next = min(policy.dt_max, dt * grow)
+        t += dt
+        steps += 1
+        dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
+        err_max = max(err_max, err)
+        # the new state keeps this one as its predecessor, one level deep
+        ev.prev = None
+        new_ev = _full_eval(g, r_new)
+        new_ev.prev, new_ev.dt_prev = ev, dt
+        ev = new_ev
+
+
+def _record_state(result: RunResult, space: AmbientSpace, ev: _StateEval,
+                  t: float, volume0: float) -> None:
+    """Run the monitors on a state against ``result.bound_set``, count
+    what they find in ``result`` and append the state's record row."""
+    prev = ev.prev
+    report = run_monitors(
+        space, result.bound_set, None, ev, t,
+        prev_area=None if prev is None else prev.area,
+        prev_dissipation=None if prev is None else prev.dissipation,
+        dt=None if prev is None else ev.dt_prev)
+    for name in report.failures:
+        result.monitor_failures[name] = result.monitor_failures.get(name, 0) + 1
+    c = report.checks
+    if "dissipation" in c:
+        result.dissipation_checked += 1
+        result.dissipation_worst = max(result.dissipation_worst,
+                                       c["dissipation"].observed)
+    result.record.rows.append(RecordRow(
+        t=t, dt=ev.dt_prev, area=ev.area, volume=ev.volume, avgH=ev.avg_H,
+        r_min=ev.r_min, r_max=ev.r_max, v_max=ev.v_max, L_max=ev.L_max,
+        sup_H_dev=ev.sup_dev,
+        viol_r2=int(not c["radius_cap"].passed),
+        viol_h2=int(not c["avg_H_cap"].passed),
+        viol_vbound=int(not c["slope_cap"].passed),
+        viol_area=int("area_monotone" in c and not c["area_monotone"].passed),
+        vol_drift=(ev.volume - volume0) / volume0))
+
+
 def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
         snapshot_every: int = 0) -> RunResult:
     """Integrate from the initial profile until a termination condition.
@@ -400,154 +489,48 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
     eps_axis of the axis, or max r within eps_axis of the far axis), and
     ``step_failure`` (no admissible step above dt_min).
 
-    The first step is IMEX-Euler and every later one SBDF2 on the last
-    two accepted states.  Each attempt is one update, accepted when its
-    :func:`_step_error` is within STEP_TOL; ``stats`` counts the
-    attempts and gives the accepted dt range and ``err_ratio_max``, the
-    largest error / STEP_TOL of an accepted step.  Every step conserves
-    the discrete volume of the initial state to rounding: its multiplier
-    is solved for per update and not recorded.
-    The recorded ``avgH`` column is the state's own average, which is
+    The steps come from :func:`_stepper`: IMEX-Euler first and SBDF2
+    on the last two accepted states after, each attempt one update,
+    accepted when its :func:`_step_error` is within STEP_TOL.  ``stats``
+    counts the attempts and gives the accepted dt range and
+    ``err_ratio_max``, the largest error / STEP_TOL of an accepted step.
+    Every step conserves the discrete volume of the initial state to
+    rounding.  The recorded ``avgH`` column is the state's own average,
     also the Newton start of the step from that state.
 
-    Monitors run at every recorded state; the frozen bound set is
-    re-derived (with fresh 1% margins and the initial area) whenever the
-    running radius envelope leaves the margined rectangle used to freeze
-    it.
+    This function observes each state the stepper yields.  It re-derives
+    the frozen bound set (fresh 1% margins, the initial area) whenever
+    the running radius envelope leaves the margined rectangle used to
+    freeze it.  It records a state, running the monitors on it, every
+    ``output_every`` steps and at the end, and snapshots a recorded
+    state every ``snapshot_every`` steps and at the end.
     """
     g = GraphGrid(space, initial)
-    slab = (initial.a, initial.b)
     ev = _full_eval(g, initial.r)
     volume0, area0 = ev.volume, ev.area
-    target = volume0 / g.omega
     run_lo, run_hi = ev.r_min, ev.r_max
-    bounds_now = _initial_bounds(g, ev)
-
-    record = FlowRecord()
     result = RunResult(termination="reached_T", t_final=0.0, steps=0,
-                       profile=initial, record=record, bound_set=bounds_now)
-    failures = result.monitor_failures
-
-    t = 0.0
-    steps = attempts = 0
-    dt_lo, dt_hi = math.inf, 0.0
-    err_max = 0.0
-    dt_next = config.dt.dt_max
-
-    def emit(row_dt: float) -> None:
-        prev = ev.prev
-        report = run_monitors(
-            space, bounds_now, None, ev, t,
-            prev_area=None if prev is None else prev.area,
-            prev_dissipation=None if prev is None else prev.dissipation,
-            dt=None if prev is None else ev.dt_prev)
-        for name in report.failures:
-            failures[name] = failures.get(name, 0) + 1
-        if "dissipation" in report.checks:
-            result.dissipation_checked += 1
-            result.dissipation_worst = max(
-                result.dissipation_worst,
-                report.checks["dissipation"].observed)
-        c = report.checks
-        record.rows.append(RecordRow(
-            t=t, dt=row_dt, area=ev.area, volume=ev.volume, avgH=ev.avg_H,
-            r_min=ev.r_min, r_max=ev.r_max, v_max=ev.v_max, L_max=ev.L_max,
-            sup_H_dev=ev.sup_dev,
-            viol_r2=int(not c["radius_cap"].passed),
-            viol_h2=int(not c["avg_H_cap"].passed),
-            viol_vbound=int(not c["slope_cap"].passed),
-            viol_area=int("area_monotone" in c
-                          and not c["area_monotone"].passed),
-            vol_drift=(ev.volume - volume0) / volume0))
-
-    def current() -> GraphProfile:
-        return initial.with_radii(ev.r) if steps else initial
-
-    def snap() -> None:
-        if snapshot_every > 0 and (steps % snapshot_every == 0):
-            result.snapshots.append((steps, t, current()))
-
-    emit(0.0)
-    snap()
-
-    while True:
-        if ev.sup_dev <= config.eps_cmc:
-            result.termination = "steady"
-            break
-        if t >= config.T_max * (1.0 - 1e-14):
-            result.termination = "reached_T"
-            break
-
-        dt = min(dt_next, config.T_max - t)
-
-        accepted = None
-        for _ in range(MAX_RETRIES):
-            attempts += 1
-            accepted = _imex_update(g, ev, dt, target)
-            err = (math.inf if accepted is None
-                   else _step_error(g, ev, dt, accepted))
-            if err <= STEP_TOL:
-                # a grow cap of 2 keeps the step ratio below 1 + sqrt(2),
-                # the zero-stability limit of variable-step BDF2
-                grow = 2.0 if err == 0.0 else min(
-                    2.0, 0.9 * math.sqrt(STEP_TOL / err))
-                dt_next = min(config.dt.dt_max, dt * grow)
-                break
-            accepted = None
-            if dt <= config.dt.dt_min:
-                break
-            shrink = 0.5 if not math.isfinite(err) else max(
-                0.1, min(0.5, 0.9 * math.sqrt(STEP_TOL / err)))
-            dt = max(dt * shrink, config.dt.dt_min)
-
-        if accepted is None:
-            result.termination = "step_failure"
-            break
-
-        t += dt
-        steps += 1
-        dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
-        err_max = max(err_max, err)
-        # the new state keeps this one as its predecessor, one level deep
-        ev.prev = None
-        new_ev = _full_eval(g, accepted)
-        new_ev.prev, new_ev.dt_prev = ev, dt
-        ev = new_ev
-
+                       profile=initial, record=FlowRecord(),
+                       bound_set=_initial_bounds(g, ev))
+    for steps, t, ev, stop in _stepper(g, ev, config, volume0 / g.omega):
         if run_lo > ev.r_min or run_hi < ev.r_max:
             run_lo = min(run_lo, ev.r_min)
             run_hi = max(run_hi, ev.r_max)
-            if run_lo < bounds_now.r_lo or run_hi > bounds_now.r_hi:
-                bounds_now = _freeze_bounds(space, slab, volume0, area0,
-                                            run_lo, run_hi,
-                                            bounds_now.max_v0)
-                result.bound_set = bounds_now
-
-        hit_axis = ev.r_min <= config.eps_axis
-        hit_far = (space.h_zero is not None
-                   and ev.r_max >= space.h_zero - config.eps_axis)
-        terminal = hit_axis or hit_far
-
-        if steps % config.output_every == 0 or terminal:
-            emit(dt)
-            snap()
-
-        if terminal:
-            result.termination = "singular_axis"
-            result.singular_side = "axis_min" if hit_axis else "axis_max"
-            break
-
-    if record.rows and record.rows[-1].t < t:
-        emit(ev.dt_prev)
-    result.profile = current()
-    if snapshot_every > 0 and (not result.snapshots
-                               or result.snapshots[-1][0] != steps):
-        result.snapshots.append((steps, t, result.profile))
-    result.t_final = t
-    result.steps = steps
-    result.stats = {"attempts": attempts, "rejected": attempts - steps,
-                    "dt_min": dt_lo if steps else None,
-                    "dt_max": dt_hi if steps else None,
-                    "dt_mean": t / steps if steps else None,
-                    "err_ratio_max": err_max / STEP_TOL if steps else None}
+            frozen = result.bound_set
+            if run_lo < frozen.r_lo or run_hi > frozen.r_hi:
+                result.bound_set = _freeze_bounds(
+                    space, (g.a, g.b), volume0, area0, run_lo, run_hi,
+                    frozen.max_v0)
+        last = stop is not None
+        if not last and steps % config.output_every:
+            continue
+        _record_state(result, space, ev, t, volume0)
+        snap = snapshot_every > 0 and (last or steps % snapshot_every == 0)
+        if snap or last:
+            profile = initial.with_radii(ev.r) if steps else initial
+        if snap:
+            result.snapshots.append((steps, t, profile))
+    # the loop ends on the state the stepper stopped at
+    result.termination, result.singular_side, result.stats = stop
+    result.t_final, result.steps, result.profile = t, steps, profile
     return result

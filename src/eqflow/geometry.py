@@ -125,7 +125,7 @@ class GraphGrid:
         self.a = profile.a
         self.b = profile.b
         self.f, self.fp, _ = space.f(self.z)
-        self.w = quad_weights(len(self.z), self.dz, "trapezoid")
+        self.w = quad_weights(len(self.z), self.dz)
         self.vol_w = self.w * self.f ** space.n
         self.omega = unit_sphere_volume(space.n)
 
@@ -241,25 +241,20 @@ def averaged_H_by_parts(space: AmbientSpace, curve: ParamCurve,
 class GeometrySummary:
     """Per-node curvature data plus the scalar functionals of one state.
 
-    The graph quantities are u = f/speed and v = speed/f: v >= 1/f
-    always, with equality exactly at critical points of r, and finite v
-    is the graph condition.  ``dissipation`` is the area-decay integral
-    of (avg_H - H)^2 over the hypersurface, and ``r_max`` the largest
-    radius.
+    The graph quantity v = speed/f satisfies v >= 1/f always, with
+    equality exactly at critical points of r, and finite v is the graph
+    condition.  ``dissipation`` is the area-decay integral of (avg_H -
+    H)^2 over the hypersurface, and ``r_max`` the largest radius.
     """
 
     k1: np.ndarray
     k2: np.ndarray
     H: np.ndarray
-    u: np.ndarray
     v: np.ndarray
-    speed: np.ndarray
-    L_norm: np.ndarray
     area: float
     volume: float
     avg_H: float
     dissipation: float
-    sphere_volume: float
     r_max: float
 
 
@@ -276,13 +271,10 @@ def summarize(space: AmbientSpace, profile: GraphProfile,
     denom = quadrature(elem, x=e.s, rule=rule)
     avg_H = quadrature(H * elem, x=e.s, rule=rule) / denom
     return GeometrySummary(
-        k1=k1, k2=k2, H=H, u=e.f / e.speed, v=e.speed / e.f, speed=e.speed,
-        L_norm=weingarten_norm(k1, k2, n),
-        area=omega * denom,
+        k1=k1, k2=k2, H=H, v=e.speed / e.f, area=omega * denom,
         volume=_volume(space, e.z, e.f, e.r, rule),
         avg_H=avg_H,
         dissipation=omega * quadrature((avg_H - H) ** 2 * elem, x=e.s,
                                        rule=rule),
-        sphere_volume=omega,
         r_max=float(np.max(e.r)),
     )

@@ -33,18 +33,14 @@ SCAN_LO = 3.0
 SCAN_HI = 14.0
 
 BENCHMARK_CASES = ("C2", "C5")
+# fewest samples of a graded grid, and so of the benchmark curve
+_MIN_SAMPLES = 16
 
 
 def cycloid_xy(s):
     """Planar point of the rolling curve."""
     s = np.asarray(s, dtype=float)
     return 2.0 * s - np.sin(s / 2.0) + TWO_PI, 2.0 - np.cos(s / 2.0)
-
-
-def cycloid_point(s):
-    """Warped coordinates (z, r) of the rolling curve."""
-    x, y = cycloid_xy(s)
-    return np.hypot(x, y), np.arctan2(x, y)
 
 
 def cycloid_state(s):
@@ -111,8 +107,8 @@ def graded_parameters(lo: float, hi: float, samples: int,
     integrands stay quadrature-friendly.  Spacing stays strictly
     increasing (the first offset is far above one ulp of the endpoints).
     """
-    if samples < 16:
-        raise ValueError("need at least 16 samples")
+    if samples < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples")
     n_layer = min(n_layer, samples // 8)
     span = hi - lo
     layer = np.geomspace(xi_min, xi_break, n_layer) * span

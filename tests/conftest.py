@@ -1,6 +1,9 @@
-"""Shared test configuration and the acceptance-line reporter."""
+"""Shared test configuration, the flow's pointwise right-hand side and
+the acceptance-line reporter."""
 
 from hypothesis import HealthCheck, settings
+
+from eqflow.geometry import GraphGrid, graph_terms
 
 settings.register_profile(
     "suite",
@@ -10,6 +13,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def flow_rhs(space, profile, avg_H):
+    """Pointwise time derivative of the radii for a given average: the
+    local term plus avg_H |c'|/f, from the flow's own graph terms."""
+    g = GraphGrid(space, profile)
+    t = graph_terms(g, profile.r)
+    return t.local + avg_H * t.speed / g.f
+
 
 # One line per acceptance criterion, echoed after capture ends so the
 # verdicts are visible in a plain `pytest -v` log.

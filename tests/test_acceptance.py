@@ -15,13 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import criterion
+from conftest import criterion, flow_rhs
 from eqflow.ambient import curvature_components, make_space
 from eqflow.bounds import (boundary_compat_residual,
                            boundary_identity_residuals)
 from eqflow.cli import _VERIFY_RECTS
 from eqflow.cli import main as cli_main
-from eqflow.flow import DtPolicy, FlowConfig, averaged_for_step, flow_rhs, run
+from eqflow.flow import DtPolicy, FlowConfig, averaged_for_step, run
 from eqflow.geometry import area, averaged_H_by_parts, enclosed_volume
 from eqflow.reference_cases import (build_cycloid_curve, cycloid_report,
                                     lambda_sweep, make_initial)

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eqflow.ambient import (
-    SUP_NORM_KEYS,
     Rect,
+    axial_measure,
     curvature_components,
     make_space,
     radial_measure,
@@ -18,6 +18,10 @@ from eqflow.ambient import (
     sup_norms,
 )
 from fd_curvature import plane_curvatures
+
+# every expression sup_norms bounds
+SUP_NORM_KEYS = ("f^2", "f^-1", "f^-2", "f^-n", "f'/f",
+                 "h'/h", "h'/(f h)", "h''/h", "h'^2/h^2", "ricci")
 
 # One space-form representative per family with a window that stays away
 # from the coordinate degeneracies (r = 0, r = zero of h, f = 0).
@@ -266,6 +270,7 @@ def test_sup_norms_horospherical():
 
 def test_sup_norms_has_every_advertised_key():
     norms = sup_norms(make_space("C4", lam=-1.0, n=2), Rect(0.5, 1.5, 0.4, 2.0))
+    assert set(norms.values) == set(SUP_NORM_KEYS)
     for key in SUP_NORM_KEYS:
         assert norms[key] >= 0.0
 
@@ -280,8 +285,8 @@ def test_sup_norms_monotone_under_inclusion(z0, z1, r0, r1, shrink):
     outer = Rect(z0, z1, r0, r1)
     dz = shrink * (z1 - z0)
     dr = shrink * (r1 - r0)
+    # shrink < 1/2 keeps inner inside outer
     inner = Rect(z0 + dz, z1 - dz, r0 + dr, r1 - dr)
-    assert outer.contains(inner)
     big = sup_norms(sp, outer)
     small = sup_norms(sp, inner)
     for key in SUP_NORM_KEYS:
@@ -367,6 +372,35 @@ def test_radial_measure_inverse_round_trip_to_the_last_bits(case, lam,
         R = frac * top
         assert radial_measure_inverse(sp, radial_measure(sp, R)) \
             == pytest.approx(R, rel=0.0, abs=1e-14)
+
+
+def _quad(fn, x):
+    """Adaptive quadrature of fn over [0, x] to 1e-14 relative."""
+    from scipy.integrate import quad
+    return quad(fn, 0.0, x, epsabs=1e-300, epsrel=1e-14, limit=200)[0]
+
+
+# the reference asks quad for the last digits it can give
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("case,lam,lam_h", CURVED_H, ids=CURVED_H_IDS)
+def test_radial_measure_keeps_its_relative_accuracy_near_the_axis(case, lam,
+                                                                  lam_h, n):
+    # near r = 0 the closed form's recursion cancels to O(r^(n+1))
+    sp = make_space(case, lam=lam, n=n, lam_h=lam_h)
+    for R in (1e-3, 1e-2, 3e-2, 0.1):
+        got = radial_measure(sp, R)
+        want = _quad(lambda r: float(sp.h(r)[0]) ** (n - 1), R)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert radial_measure_inverse(sp, got) \
+            == pytest.approx(R, rel=0.0, abs=2e-14)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_axial_measure_keeps_its_relative_accuracy_near_zero():
+    sp = make_space("C4", lam=-1.0, n=4)
+    want = _quad(lambda z: float(sp.f(z)[0]) ** 4, 0.01)
+    assert axial_measure(sp, 0.01) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

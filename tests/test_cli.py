@@ -246,3 +246,18 @@ def test_missing_subcommand_is_usage_error():
         main([])
     with pytest.raises(SystemExit):
         main(["run"])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify-curvature", "--samples", "0"], "must be at least 1, got 0"),
+    (["verify-curvature", "--samples", "-3"], "must be at least 1, got -3"),
+    (["appendix-b", "--samples", "15"], "must be at least 16, got 15"),
+    (["sweep", "--samples", "2"], "must be at least 16, got 2"),
+    (["sweep", "--samples", "abc"], "invalid int value: 'abc'"),
+])
+def test_out_of_range_samples_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --samples" in err and message in err

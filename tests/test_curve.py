@@ -115,8 +115,8 @@ def test_diff_convergence_is_second_order():
 @pytest.mark.parametrize("n_nodes", [2, 9, 10, 64])
 def test_quadrature_constant(n_nodes):
     vals = np.ones(n_nodes)
-    assert quadrature(vals, dx=1.0 / (n_nodes - 1)) == pytest.approx(1.0,
-                                                                     rel=1e-15)
+    assert quadrature(vals, x=np.linspace(0.0, 1.0, n_nodes)) \
+        == pytest.approx(1.0, rel=1e-15)
 
 
 def test_quadrature_sine_simpson():
@@ -130,7 +130,7 @@ def test_quadrature_trapezoid_second_order():
     errs = []
     for N in (100, 200, 400):
         x = np.linspace(0.0, 1.0, N + 1)
-        errs.append(abs(quadrature(np.exp(x), dx=1.0 / N) - exact))
+        errs.append(abs(quadrature(np.exp(x), x=x) - exact))
     for lo, hi in zip(errs[1:], errs[:-1]):
         assert math.log2(hi / lo) >= 1.9
 
@@ -138,29 +138,24 @@ def test_quadrature_trapezoid_second_order():
 @given(arrays(np.float64, st.integers(2, 30), elements=st.floats(0.0, 5.0)),
        st.sampled_from(["trapezoid", "simpson"]))
 def test_quadrature_nonnegative(vals, rule):
-    assert quadrature(vals, dx=0.3, rule=rule) >= 0.0
+    assert quadrature(vals, x=0.3 * np.arange(len(vals)), rule=rule) >= 0.0
 
 
-@given(arrays(np.float64, st.integers(2, 31), elements=st.floats(-2.0, 2.0)),
-       st.sampled_from(["trapezoid", "simpson"]))
-def test_quad_weights_match_quadrature(vals, rule):
-    w = quad_weights(len(vals), 0.17, rule=rule)
-    assert w @ vals == pytest.approx(quadrature(vals, dx=0.17, rule=rule),
-                                     rel=1e-12, abs=1e-12)
+@given(arrays(np.float64, st.integers(2, 31), elements=st.floats(-2.0, 2.0)))
+def test_quad_weights_match_quadrature(vals):
+    w = quad_weights(len(vals), 0.17)
+    assert w @ vals == pytest.approx(
+        quadrature(vals, x=0.17 * np.arange(len(vals))), rel=1e-12, abs=1e-12)
 
 
 def test_quadrature_argument_errors():
     vals = np.ones(5)
     with pytest.raises(ValueError):
-        quadrature(vals)
-    with pytest.raises(ValueError):
-        quadrature(vals, x=np.linspace(0, 1, 5), dx=0.1)
-    with pytest.raises(ValueError):
         quadrature(vals, x=np.linspace(0, 1, 4))
     with pytest.raises(ValueError):
-        quadrature(vals, dx=0.1, rule="gauss")
+        quadrature(vals, x=np.linspace(0, 1, 5), rule="gauss")
     with pytest.raises(ValueError):
-        quadrature(np.ones(1), dx=0.1)
+        quadrature(np.ones(1), x=np.zeros(1))
 
 
 # -- snapshot format -------------------------------------------------------

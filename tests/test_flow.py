@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import flow_rhs
 from eqflow import flow
 from eqflow.ambient import AmbientSpace, make_space
 from eqflow.curve import GraphProfile, diff, quad_weights
-from eqflow.flow import (TERMINATIONS, DtPolicy, FlowConfig,
-                         FlowRecord, FlowStepError, RecordRow,
-                         averaged_for_step, detect_steady, flow_rhs,
+from eqflow.flow import (DtPolicy, FlowConfig, FlowRecord, FlowStepError,
+                         RecordRow, averaged_for_step, detect_steady,
                          initial_bound_set, run, step)
 from eqflow.geometry import mean_curvature, principal_curvatures, summarize
 from eqflow.reference_cases import make_initial
@@ -126,7 +126,7 @@ def test_volume_consistent_average_kills_discrete_volume_derivative():
         rhs = flow_rhs(space, prof, avg)
         f, _, _ = space.f(prof.z)
         h, _, _ = space.h(prof.r)
-        w = quad_weights(prof.N + 1, prof.dz, "trapezoid")
+        w = quad_weights(prof.N + 1, prof.dz)
         dens = f ** space.n * h ** (space.n - 1)
         total = float(w @ (dens * rhs))
         scale = float(w @ (dens * np.abs(rhs)))
@@ -338,7 +338,6 @@ STATE_ENTRIES = {
     "step_imex": lambda s, p: step(s, p, 1e-6),
     "averaged_for_step": averaged_for_step,
     "detect_steady": lambda s, p: detect_steady(s, p, 1e-5),
-    "flow_rhs": lambda s, p: flow_rhs(s, p, 0.0),
     "initial_bound_set": initial_bound_set,
     "summarize": summarize,
 }
@@ -496,6 +495,19 @@ def test_run_builds_profiles_only_for_snapshots_and_the_end(monkeypatch,
     assert sorted(map(id, built)) == sorted(kept | {id(res.profile)})
 
 
+def test_run_records_on_cadence_and_snapshots_recorded_states():
+    # a pinch that ends off both cadences: a row every 7 steps, a
+    # snapshot at each recorded multiple of 3, and the last state in both
+    res = run(FLAT, perturbed(radius=0.25, amplitude=0.12),
+              FlowConfig(T_max=0.1, output_every=7), snapshot_every=3)
+    steps = res.steps
+    assert res.termination == "singular_axis" and steps % 7 and steps % 3
+    assert len(res.record.rows) == steps // 7 + 2
+    assert [s for s, _, _ in res.snapshots] == [*range(0, steps, 21), steps]
+    assert res.record.rows[-1].t == res.snapshots[-1][1] == res.t_final
+    assert res.snapshots[-1][2] is res.profile
+
+
 def test_run_detects_axis_pinching():
     initial = perturbed(radius=0.25, amplitude=0.12)
     cfg = FlowConfig(T_max=0.1)
@@ -519,8 +531,6 @@ def test_flow_config_validation():
         FlowConfig(dt=DtPolicy(dt_max=1e-6, dt_min=1e-3))
     with pytest.raises(ValueError):
         FlowConfig(output_every=0)
-    assert set(TERMINATIONS) == {"reached_T", "steady", "singular_axis",
-                                 "step_failure"}
 
 
 def test_record_round_trip_layout():

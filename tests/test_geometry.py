@@ -244,7 +244,7 @@ def test_summary_is_consistent_with_parts():
     assert summ.area == pytest.approx(area(C1, prof), rel=1e-15)
     assert summ.volume == pytest.approx(enclosed_volume(C1, prof), rel=1e-15)
     assert summ.avg_H == pytest.approx(averaged_H_direct(C1, prof), rel=1e-13)
-    assert summ.sphere_volume == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert unit_sphere_volume(C1.n) == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert abs(summ.avg_H) <= np.max(np.abs(summ.H))
     assert np.all(summ.v >= 1.0 / C1.f(prof.z)[0] - 1e-15)
 

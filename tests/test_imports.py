@@ -1,6 +1,6 @@
 """Every name the package, the scripts and the tests import is used,
-every private module-level name of the package is referenced, and every
-script still imports.
+every module-level name of the package is referenced, and every script
+still imports.
 
 A static scan of the syntax tree: a name bound by ``import`` or ``from
 ... import`` must appear somewhere else in the module, as a name, as the
@@ -8,9 +8,11 @@ root of an attribute chain, or in ``__all__``.  ``__future__`` imports
 and ``import x as x`` re-exports are exempt.  A module-level ``_name``
 of the package (a function, class or assigned name) must be read
 somewhere in the package, the scripts, the tests or the benchmark, as a
-name, an attribute or an imported name.  Each script is also loaded and
-asked for ``--help``, so one that imports a name the package no longer
-has fails here.
+name, an attribute or an imported name.  A public one must be read in
+the package, the scripts or the benchmark: the tests do not count, and
+neither does a re-export in ``__init__.py``.  Each script is also
+loaded and asked for ``--help``, so one that imports a name the package
+no longer has fails here.
 
 A fresh interpreter that runs a config through the command line loads
 no scipy subpackage, and the LAPACK routine the flow loads directly is
@@ -56,8 +58,9 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-def private_definitions(source: str) -> dict[str, int]:
-    """Line of each private name a module defines at its top level."""
+def definitions(source: str, private: bool) -> dict[str, int]:
+    """Line of each private (or each public) name a module defines at its
+    top level; dunder names are neither."""
     out: dict[str, int] = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -69,7 +72,7 @@ def private_definitions(source: str) -> dict[str, int]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__") and name.startswith("_") == private:
                 out.setdefault(name, node.lineno)
     return out
 
@@ -87,32 +90,66 @@ def read_names(source: str) -> set[str]:
     return out
 
 
-def dead_private_names(modules: dict[str, str], readers: list[str]) -> list[str]:
-    """Private top-level names of ``modules`` (name -> source) that neither
-    they nor ``readers`` (more sources) ever read."""
-    read = set().union(*map(read_names, [*modules.values(), *readers]))
+def dead_names(modules: dict[str, str], readers: list[str],
+               private: bool = True) -> list[str]:
+    """Private (or public) top-level names of ``modules`` (name -> source)
+    that neither they nor ``readers`` (more sources) ever read.  For the
+    public names an ``__init__.py`` re-export is not a read."""
+    read = set().union(*map(read_names, [
+        *(src for name, src in modules.items()
+          if private or name != "__init__.py"), *readers]))
     return [f"{module} line {line}: {name}"
             for module, source in sorted(modules.items())
-            for name, line in sorted(private_definitions(source).items())
+            for name, line in sorted(definitions(source, private).items())
             if name not in read]
 
 
 def test_scan_finds_a_dead_private_name():
     module = ("_A = 1\n_B: int = 2\n__all__ = []\n"
               "def _f():\n    return _B\nclass _C:\n    pass\n")
-    assert dead_private_names({"m": module}, []) \
+    assert dead_names({"m": module}, []) \
         == ["m line 1: _A", "m line 6: _C", "m line 4: _f"]
-    assert dead_private_names({"m": module}, ["from m import _f, _C\nm._A"]) \
-        == []
-    assert dead_private_names({"m": "_A = 1\n"}, ["_A = 2\n"]) \
-        == ["m line 1: _A"]
+    assert dead_names({"m": module}, ["from m import _f, _C\nm._A"]) == []
+    assert dead_names({"m": "_A = 1\n"}, ["_A = 2\n"]) == ["m line 1: _A"]
+
+
+def test_scan_finds_a_dead_public_name():
+    module = ("A = 1\n_B = 2\n__all__ = []\n"
+              "def f():\n    return A\nclass C:\n    pass\nD: int = 3\n")
+    init = "from .m import C, D\n__all__ = ['C', 'D']\n"
+    assert dead_names({"m": module, "__init__.py": init}, [], private=False) \
+        == ["m line 6: C", "m line 8: D", "m line 4: f"]
+    assert dead_names({"m": module}, ["from m import f\nx.C\nD"],
+                      private=False) == []
+    # a private re-export counts as a read
+    assert dead_names({"m": "_A = 1\n", "__init__.py": "from .m import _A\n"},
+                      []) == []
+
+
+def _sources(paths):
+    return {p.name: p.read_text(encoding="utf-8") for p in paths}
 
 
 def test_no_dead_private_names():
-    modules = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     readers = [p.read_text(encoding="utf-8") for p in READERS
                if p not in PACKAGE]
-    assert dead_private_names(modules, readers) == []
+    assert dead_names(_sources(PACKAGE), readers) == []
+
+
+# Public names of the package that no package module, script or benchmark
+# file reads, each with the reason it stays.  Tests do not count as
+# readers: a name only tests read belongs in the tests.
+PUBLIC_ONLY_FOR_TESTS: dict[str, str] = {}
+
+
+def test_no_public_names_only_tests_read():
+    readers = [p.read_text(encoding="utf-8")
+               for p in [*SCRIPTS, *(ROOT / "perfbench").glob("*.py")]]
+    dead = dead_names(_sources(PACKAGE), readers, private=False)
+    assert [d for d in dead
+            if d.rsplit(": ", 1)[1] not in PUBLIC_ONLY_FOR_TESTS] == []
+    assert all(any(d.endswith(": " + name) for d in dead)
+               for name in PUBLIC_ONLY_FOR_TESTS)
 
 
 def test_scan_finds_an_unused_import():

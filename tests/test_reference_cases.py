@@ -8,9 +8,8 @@ import pytest
 from eqflow.ambient import make_space
 from eqflow.curve import ParamCurve
 from eqflow.reference_cases import (BENCHMARK_CASES, benchmark_space,
-                                    build_cycloid_curve, cycloid_point,
-                                    cycloid_rdot, cycloid_report,
-                                    cycloid_state, cycloid_xy,
+                                    build_cycloid_curve, cycloid_rdot,
+                                    cycloid_report, cycloid_state, cycloid_xy,
                                     find_turning_points, graded_parameters,
                                     lambda_sweep, make_initial)
 
@@ -33,7 +32,7 @@ def reports():
 
 
 def test_cycloid_point_at_zero():
-    z, r = cycloid_point(0.0)
+    z, r = cycloid_state(0.0)[:2]
     assert z == pytest.approx(math.hypot(2.0 * math.pi, 1.0), rel=1e-15)
     assert r == pytest.approx(math.atan2(2.0 * math.pi, 1.0), rel=1e-15)
     assert z == pytest.approx(6.362265, abs=5e-6)
@@ -44,7 +43,7 @@ def test_cycloid_point_at_two_pi():
     x, y = cycloid_xy(2.0 * math.pi)
     assert x == pytest.approx(6.0 * math.pi, rel=1e-15)
     assert y == pytest.approx(3.0, rel=1e-15)
-    z, _ = cycloid_point(2.0 * math.pi)
+    z = cycloid_state(2.0 * math.pi)[0]
     assert z == pytest.approx(math.sqrt(36.0 * math.pi ** 2 + 9.0),
                               rel=1e-15)
 
@@ -53,8 +52,8 @@ def test_cycloid_state_matches_finite_differences():
     s = np.linspace(4.0, 12.0, 7)
     eps = 1e-5
     z, r, dz, dr, ddz, ddr = cycloid_state(s)
-    zp, rp = cycloid_point(s + eps)
-    zm, rm = cycloid_point(s - eps)
+    zp, rp = cycloid_state(s + eps)[:2]
+    zm, rm = cycloid_state(s - eps)[:2]
     assert np.max(np.abs((zp - zm) / (2 * eps) - dz)) <= 1e-8
     assert np.max(np.abs((rp - rm) / (2 * eps) - dr)) <= 1e-8
     assert np.max(np.abs((zp - 2 * z + zm) / eps ** 2 - ddz)) <= 1e-4
