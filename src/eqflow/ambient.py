@@ -108,10 +108,9 @@ class AmbientSpace:
         """Return (f, f', f'') at ``z`` (scalar or array), exactly."""
         z = np.asarray(z, dtype=float)
         if self.case == "C1":
-            one = np.ones_like(z)
-            return one, np.zeros_like(z), np.zeros_like(z)
+            return np.ones(z.shape), np.zeros(z.shape), np.zeros(z.shape)
         if self.case == "C2":
-            return z, np.ones_like(z), np.zeros_like(z)
+            return z, np.ones(z.shape), np.zeros(z.shape)
         m = math.sqrt(abs(self.lam))
         if self.case == "C3":
             return np.cosh(m * z), m * np.sinh(m * z), m * m * np.cosh(m * z)
@@ -127,9 +126,10 @@ class AmbientSpace:
         """Return (h, h', h'') at ``r`` (scalar or array), exactly."""
         r = np.asarray(r, dtype=float)
         if self.case in ("C1", "C5"):
-            return r, np.ones_like(r), np.zeros_like(r)
+            return r, np.ones(r.shape), np.zeros(r.shape)
         if self.case in ("C2", "C4"):
-            return np.sin(r), np.cos(r), -np.sin(r)
+            s = np.sin(r)
+            return s, np.cos(r), -s
         m = math.sqrt(abs(self.lam_h))
         if self.case == "C3":
             return np.sinh(m * r) / m, np.cosh(m * r), m * np.sinh(m * r)
@@ -153,7 +153,9 @@ class AmbientSpace:
         the band: states are checked with it where they enter, through
         :meth:`check_r`, and trial states of the flow directly."""
         hi = math.inf if self.h_zero is None else self.h_zero
-        return bool(np.all((r > 0.0) & (r < hi)))
+        r = np.asarray(r)
+        # a NaN anywhere makes the minimum NaN, and NaN compares false
+        return bool(r.min() > 0.0 and r.max() < hi)
 
     def check_r(self, r) -> None:
         """Raise ValueError unless :meth:`admits` accepts every r."""

@@ -317,7 +317,7 @@ def boundary_compat_residual(space: AmbientSpace, profile: GraphProfile,
 
 # -- runtime monitors ------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MonitorCheck:
     observed: float
     threshold: float
@@ -363,7 +363,7 @@ def run_monitors(space: AmbientSpace, bound_set: BoundSet,
     """
     checks: dict[str, MonitorCheck] = {}
 
-    r_max = summary.r_max if profile is None else float(np.max(profile.r))
+    r_max = summary.r_max if profile is None else float(profile.r.max())
     cap = min(bound_set.cap_measure,
               bound_set.vol_measure + bound_set.area_rate * summary.area)
     # the zero of h is compared as a radius (R is flat there), and R is
@@ -376,7 +376,7 @@ def run_monitors(space: AmbientSpace, bound_set: BoundSet,
     checks["avg_H_cap"] = MonitorCheck(abs(summary.avg_H), bound_set.avg_H_cap,
                                        abs(summary.avg_H) <= bound_set.avg_H_cap)
 
-    v_max = float(np.max(summary.v))
+    v_max = float(summary.v.max())
     checks["slope_cap"] = MonitorCheck(v_max, bound_set.v_cap,
                                        v_max <= bound_set.v_cap)
 

@@ -8,10 +8,11 @@ space form equal its sectional curvature), and ``sweep`` (the C5
 benchmark across curvature scales).
 
 Exit codes for ``run``: 0 when the flow reaches the time horizon or a
-steady state, 2 on axis contact, 3 on step failure; every subcommand
+steady state, 5 on axis contact, 3 on step failure; every subcommand
 returns 1 on configuration errors and 4 on I/O failures.  A malformed
 command line, an out-of-range ``--samples`` included, is a usage error:
-argparse reports it and exits 2 before any work.  All file
+argparse reports it and exits 2 before any work, a code no finished
+command returns.  All file
 output is written atomically (temp file then rename), so rerunning a
 command cannot leave a half-written artifact.
 """
@@ -33,9 +34,9 @@ from .curve import profile_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_SINGULAR = 2
 EXIT_STEP_FAILURE = 3
 EXIT_IO = 4
+EXIT_SINGULAR = 5        # 2 is argparse's usage error
 
 VERIFY_TOL = 1e-9
 

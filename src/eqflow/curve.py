@@ -8,7 +8,6 @@ for static geometry of curves that are not graphs over z.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,8 +137,5 @@ def quad_weights(n_nodes: int, dx: float) -> np.ndarray:
 
 def profile_to_csv(profile: GraphProfile) -> str:
     """Serialize a profile as CSV with header ``z,r``, full precision."""
-    buf = io.StringIO()
-    buf.write("z,r\n")
-    for zi, ri in zip(profile.z, profile.r):
-        buf.write(f"{zi:.17g},{ri:.17g}\n")
-    return buf.getvalue()
+    return "z,r\n" + "".join(["%.17g,%.17g\n" % zr for zr in
+                              zip(profile.z.tolist(), profile.r.tolist())])

@@ -37,6 +37,17 @@ entering through a public function is checked once, when its
 iterate) is tested once with ``AmbientSpace.admits``; an inadmissible
 trial rejects the attempt.
 
+A step costs per-call overhead more than array work, so nothing is
+formed twice.  The grid holds f'/f and f^(n-1) for the run.  Each
+accepted state is evaluated once, by :func:`_full_eval`: its graph
+terms, curvatures and recorded scalars.  The first update from a state
+forms the explicit part E of its right-hand side and keeps it on the
+state, where a retry and the SBDF2 update of its successor read it
+again.  The order of every floating-point operation is frozen all the
+same: reruns and revisions compare ``record.csv`` byte for byte, so a
+cheaper rewrite may drop repeated work but may not reassociate a sum or
+a product; ``tests/test_arithmetic_order.py`` keeps the reference.
+
 The tridiagonal solves call LAPACK's dgtsv, loaded from scipy's
 compiled LAPACK extension by :func:`_load_dgtsv`, so a run imports
 numpy and that one extension but no scipy subpackage.
@@ -48,6 +59,7 @@ import importlib.machinery
 import importlib.util
 import math
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -134,13 +146,16 @@ class FlowStepError(RuntimeError):
     """A single update produced an invalid state."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _StateEval:
     """Terms, average and area of one state; the rest filled by _full_eval.
     Has the ``area``, ``volume``, ``avg_H``, ``dissipation``, ``v`` and
     ``r_max`` run_monitors reads.
     ``prev`` is the accepted state a step of size ``dt_prev`` came from,
-    kept one level deep, so an update from this state is SBDF2."""
+    kept one level deep, so an update from this state is SBDF2.
+    ``explicit`` is the explicit part E of the update's right-hand side,
+    formed by the first update from the state and read again by every
+    retry and by the SBDF2 update of its successor."""
 
     r: np.ndarray
     terms: GraphTerms
@@ -156,6 +171,7 @@ class _StateEval:
     dissipation: float = 0.0
     prev: _StateEval | None = None
     dt_prev: float = 0.0
+    explicit: np.ndarray | None = None
 
 
 def _light_eval(g: GraphGrid, r: np.ndarray) -> _StateEval:
@@ -179,12 +195,14 @@ def _full_eval(g: GraphGrid, r: np.ndarray) -> _StateEval:
     k1, k2, H = t.curvatures()
     ev.v = t.speed / g.f
     ev.volume = g.omega * _volume_measure(g, r)
-    ev.sup_dev = float(np.max(np.abs(H - ev.avg_H)))
-    ev.r_min = float(np.min(r))
-    ev.r_max = float(np.max(r))
-    ev.v_max = float(np.max(ev.v))
-    ev.L_max = float(np.max(weingarten_norm(k1, k2, n)))
-    ev.dissipation = g.omega * float(g.w @ ((ev.avg_H - H) ** 2 * t.elem))
+    # (avg_H - H)^2 is bit for bit the square of this difference
+    dev = H - ev.avg_H
+    ev.sup_dev = float(np.abs(dev).max())
+    ev.r_min = float(r.min())
+    ev.r_max = float(r.max())
+    ev.v_max = float(ev.v.max())
+    ev.L_max = float(weingarten_norm(k1, k2, n).max())
+    ev.dissipation = g.omega * float(g.w @ (dev ** 2 * t.elem))
     return ev
 
 
@@ -219,21 +237,24 @@ def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
     """
     t = ev.terms
     prev = ev.prev
+    if ev.explicit is None:
+        ev.explicit = t.local - t.rddot / t.speed2
     rhs = np.empty((len(ev.r), 2), order="F")
     if prev is None:
         lead = 1.0
         a = dt / (t.speed2 * g.dz ** 2)
-        rhs[:, 0] = ev.r + dt * (t.local - t.rddot / t.speed2)
+        rhs[:, 0] = ev.r + dt * ev.explicit
         rhs[:, 1] = dt * t.speed / g.f
     else:
+        # the predecessor's E was formed by the update made from it
         w = dt / ev.dt_prev
+        w1 = 1.0 + w
         tp = prev.terms
-        lead = (1.0 + 2.0 * w) / (1.0 + w)
-        a = dt * ((1.0 + w) / t.speed2 - w / tp.speed2) / g.dz ** 2
-        rhs[:, 0] = ((1.0 + w) * ev.r - (w * w / (1.0 + w)) * prev.r
-                     + dt * ((1.0 + w) * (t.local - t.rddot / t.speed2)
-                             - w * (tp.local - tp.rddot / tp.speed2)))
-        rhs[:, 1] = dt * ((1.0 + w) * t.speed - w * tp.speed) / g.f
+        lead = (1.0 + 2.0 * w) / w1
+        a = dt * (w1 / t.speed2 - w / tp.speed2) / g.dz ** 2
+        rhs[:, 0] = (w1 * ev.r - (w * w / w1) * prev.r
+                     + dt * (w1 * ev.explicit - w * prev.explicit))
+        rhs[:, 1] = dt * (w1 * t.speed - w * tp.speed) / g.f
     sub = -a[1:]
     sup = -a[:-1]
     sub[-1] *= 2.0
@@ -270,10 +291,10 @@ def _step_error(g: GraphGrid, ev: _StateEval, dt: float,
     if ev.prev is None:
         t = ev.terms
         euler = ev.r + dt * (t.local + ev.avg_H * t.speed / g.f)
-        return 0.5 * float(np.max(np.abs(r_new - euler)))
+        return 0.5 * float(np.abs(r_new - euler).max())
     w = dt / ev.dt_prev
     gap = r_new - ev.r - w * (ev.r - ev.prev.r)
-    return dt / (dt + ev.dt_prev) * float(np.max(np.abs(gap)))
+    return dt / (dt + ev.dt_prev) * float(np.abs(gap).max())
 
 
 def averaged_for_step(space: AmbientSpace, profile: GraphProfile) -> float:
@@ -305,7 +326,7 @@ def step(space: AmbientSpace, profile: GraphProfile,
     return profile.with_radii(r_new)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RecordRow:
     t: float
     dt: float
@@ -325,6 +346,10 @@ class RecordRow:
 
 
 COLUMNS = tuple(f.name for f in fields(RecordRow))
+# one CSV line of a row: integers in decimal, floats to 17 digits
+_ROW_FORMAT = ",".join("%d" if f.type == "int" else "%.17g"
+                       for f in fields(RecordRow)) + "\n"
+_row_values = attrgetter(*COLUMNS)
 
 
 @dataclass
@@ -332,14 +357,8 @@ class FlowRecord:
     rows: list[RecordRow] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = [",".join(COLUMNS)]
-        for row in self.rows:
-            parts = []
-            for name in COLUMNS:
-                val = getattr(row, name)
-                parts.append(str(val) if isinstance(val, int) else f"{val:.17g}")
-            lines.append(",".join(parts))
-        return "\n".join(lines) + "\n"
+        return ",".join(COLUMNS) + "\n" + "".join(
+            [_ROW_FORMAT % _row_values(row) for row in self.rows])
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(row, name) for row in self.rows], dtype=float)

@@ -107,9 +107,10 @@ def weingarten_norm(k1: np.ndarray, k2: np.ndarray, n: int) -> np.ndarray:
 
 
 class GraphGrid:
-    """Constants of a uniform z grid: nodes, warping values on them,
-    trapezoid weights, the volume weights w f^n (the enclosed volume is
-    ``omega * vol_w @ radial_measure(r)``) and the unit-sphere volume.
+    """Constants of a uniform z grid: nodes, warping values on them and
+    the f'/f and f^(n-1) of the state terms, trapezoid weights, the
+    volume weights w f^n (the enclosed volume is ``omega * vol_w @
+    radial_measure(r)``) and the unit-sphere volume.
 
     Building one is where a graph state enters the flow and the graph
     kernel, so it checks the profile's radii against the ambient's open
@@ -125,12 +126,14 @@ class GraphGrid:
         self.a = profile.a
         self.b = profile.b
         self.f, self.fp, _ = space.f(self.z)
+        self.fp_over_f = self.fp / self.f
+        self.f_pow = self.f ** (space.n - 1)
         self.w = quad_weights(len(self.z), self.dz)
         self.vol_w = self.w * self.f ** space.n
         self.omega = unit_sphere_volume(space.n)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GraphTerms:
     """Per-node terms of a graph state r(z) on a uniform grid.
 
@@ -153,23 +156,24 @@ class GraphTerms:
 
     def curvatures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(k1, k2, H) at every node."""
-        f, fp = self.grid.f, self.grid.fp
+        f = self.grid.f
+        slope = self.grid.fp * self.rdot
         k1 = -(self.rddot * f / self.speed2
-               + fp * self.rdot * (1.0 / self.speed2 + 1.0)) / self.speed
-        k2 = (self.hp / (self.h * f) - fp * self.rdot) / self.speed
+               + slope * (1.0 / self.speed2 + 1.0)) / self.speed
+        k2 = (self.hp / (self.h * f) - slope) / self.speed
         return k1, k2, mean_curvature(k1, k2, self.grid.space.n)
 
 
 def graph_terms(grid: GraphGrid, r: np.ndarray) -> GraphTerms:
     """The terms of the radii ``r`` on the grid."""
-    f, fp, n = grid.f, grid.fp, grid.space.n
+    f, n = grid.f, grid.space.n
     rdot, rddot = diff_radii(r, grid.dz)
     h, hp, _ = grid.space.h(r)
     speed2 = 1.0 + (f * rdot) ** 2
     speed = np.sqrt(speed2)
-    local = (rddot / speed2 + (fp / f) * (1.0 / speed2 + n) * rdot
+    local = (rddot / speed2 + grid.fp_over_f * (1.0 / speed2 + n) * rdot
              - (n - 1) * hp / (h * f * f))
-    gdens = f ** (n - 1) * h ** (n - 1)
+    gdens = grid.f_pow * h ** (n - 1)
     return GraphTerms(grid=grid, rdot=rdot, rddot=rddot, speed2=speed2,
                       speed=speed, h=h, hp=hp, gdens=gdens,
                       elem=speed * gdens, local=local)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqflow.ambient import (
@@ -157,6 +157,34 @@ def test_band_predicate_is_the_open_band():
     with pytest.raises(ValueError):
         flat.check_r([1.0, math.nan])
     assert not crown.admits(3.3) and crown.admits(3.1)
+    nan = math.nan
+    for space in (crown, flat):
+        assert not space.admits(np.array([1.0, -0.0]))
+        assert not space.admits(-0.0) and not space.admits(np.array(-0.0))
+        assert not space.admits(np.array([nan, nan]))
+        assert not space.admits(np.array([nan, 1.0, 2.0]))
+        assert not space.admits(nan) and not space.admits(np.array(nan))
+        assert space.admits(1.0) and space.admits(np.array(1.0))
+        assert not space.admits(0.0) and not space.admits(np.array(0.0))
+        assert not space.admits(math.inf) and not space.admits(-math.inf)
+    assert crown.admits(math.nextafter(math.pi, 0.0))
+    assert crown.admits(np.array([1.0, math.nextafter(math.pi, 0.0)]))
+    assert not crown.admits(math.pi) and not crown.admits(np.array(math.pi))
+    assert flat.admits(np.array(1e300)) and flat.admits(5e-324)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1e-300, 0.5, 3.0, math.pi,
+                                 math.nextafter(math.pi, 0.0), 1e300,
+                                 -1.0, math.nan, math.inf, -math.inf]),
+                min_size=1, max_size=6))
+def test_band_predicate_is_the_elementwise_band(values):
+    # the band test compares the extremes; its verdict is that of the
+    # node-by-node test, NaN and infinities included
+    r = np.array(values)
+    for space in (make_space("C2", n=2), make_space("C1", n=2)):
+        hi = math.inf if space.h_zero is None else space.h_zero
+        assert space.admits(r) == bool(np.all((r > 0.0) & (r < hi)))
 
 
 def test_curvature_rejects_degenerate_radius():

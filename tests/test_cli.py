@@ -65,6 +65,7 @@ def test_run_detects_pinching(tmp_path):
     out = tmp_path / "out"
     code = main(["run", "--config", cfg, "--out", str(out)])
     assert code == EXIT_SINGULAR
+    assert code != 2     # argparse's usage-error code
     summary = json.loads((out / "summary.json").read_text())
     assert summary["termination"] == "singular_axis"
     assert summary["singular_side"] == "axis_min"
