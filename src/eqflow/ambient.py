@@ -107,7 +107,7 @@ class AmbientSpace:
     def f(self, z):
         """Return (f, f', f'') at ``z`` (scalar or array), exactly."""
         z = np.asarray(z, dtype=float)
-        if self.case == "C1":
+        if self.unit_f:
             return np.ones(z.shape), np.zeros(z.shape), np.zeros(z.shape)
         if self.case == "C2":
             return z, np.ones(z.shape), np.zeros(z.shape)
@@ -125,16 +125,41 @@ class AmbientSpace:
     def h(self, r):
         """Return (h, h', h'') at ``r`` (scalar or array), exactly."""
         r = np.asarray(r, dtype=float)
-        if self.case in ("C1", "C5"):
-            return r, np.ones(r.shape), np.zeros(r.shape)
+        h, hp = self.h_slope(r)
+        if self.linear_h:
+            return h, hp, np.zeros(r.shape)
         if self.case in ("C2", "C4"):
-            s = np.sin(r)
-            return s, np.cos(r), -s
+            return h, hp, -h
         m = math.sqrt(abs(self.lam_h))
         if self.case == "C3":
-            return np.sinh(m * r) / m, np.cosh(m * r), m * np.sinh(m * r)
-        # C6
-        return np.sin(m * r) / m, np.cos(m * r), -m * np.sin(m * r)
+            return h, hp, m * np.sinh(m * r)
+        return h, hp, -m * np.sin(m * r)    # C6
+
+    def h_slope(self, r):
+        """Return (h, h') at ``r``: :meth:`h` without h'', for the callers
+        that do not read it."""
+        r = np.asarray(r, dtype=float)
+        h = self.h_value(r)
+        if self.linear_h:
+            return h, np.ones(r.shape)
+        if self.case in ("C2", "C4"):
+            return h, np.cos(r)
+        m = math.sqrt(abs(self.lam_h))
+        if self.case == "C3":
+            return h, np.cosh(m * r)
+        return h, np.cos(m * r)             # C6
+
+    def h_value(self, r):
+        """Return h at ``r``, without its derivatives."""
+        r = np.asarray(r, dtype=float)
+        if self.linear_h:
+            return r
+        if self.case in ("C2", "C4"):
+            return np.sin(r)
+        m = math.sqrt(abs(self.lam_h))
+        if self.case == "C3":
+            return np.sinh(m * r) / m
+        return np.sin(m * r) / m            # C6
 
     # -- domain handling ---------------------------------------------------
 
@@ -172,6 +197,17 @@ class AmbientSpace:
     @property
     def is_space_form(self) -> bool:
         return self.lam_h == self.lam
+
+    @property
+    def unit_f(self) -> bool:
+        """True when f = 1 and f' = 0 (C1), so that a factor f is a
+        multiplication by one and a term in f' is zero."""
+        return self.case == "C1"
+
+    @property
+    def linear_h(self) -> bool:
+        """True when h(r) = r (C1 and C5)."""
+        return self.case in ("C1", "C5")
 
 
 def make_space(case: str, lam: float | None = None, n: int = 2,
@@ -319,19 +355,34 @@ def sup_norms(space: AmbientSpace, rect: Rect) -> SupNorms:
 
 # -- cumulative volume factors ---------------------------------------------
 
-# Below _SMALL_ARG the power-reduction recursions for sin^m and sinh^m
+def _unit_rule(nodes, weights):
+    """A Gauss-Legendre rule on [-1, 1], given by its positive nodes and
+    their weights, moved to [0, 1]: (nodes, weights)."""
+    nodes, weights = np.array(nodes), np.array(weights)
+    return (0.5 * np.concatenate([1.0 - nodes[::-1], 1.0 + nodes]),
+            0.5 * np.concatenate([weights[::-1], weights]))
+
+
+# Below a switch point the power-reduction recursions for sin^m and sinh^m
 # cancel (their terms are O(x^(m-1)), the integral O(x^(m+1))), and the
-# integral is the 12-point Gauss-Legendre rule's, exact to rounding there
-# for m up to about 20.  Its positive nodes on [-1, 1] and their weights:
-_SMALL_ARG = 0.5
-_GL_NODES = np.array([0.1252334085114689, 0.3678314989981802,
-                      0.5873179542866175, 0.7699026741943047,
-                      0.9041172563704749, 0.9815606342467192])
-_GL_WEIGHTS = np.array([0.24914704581340277, 0.2334925365383548,
-                        0.20316742672306592, 0.16007832854334622,
-                        0.10693932599531843, 0.04717533638651183])
-_GL_UNIT = 0.5 * np.concatenate([1.0 - _GL_NODES[::-1], 1.0 + _GL_NODES])
-_GL_UNIT_WEIGHTS = 0.5 * np.concatenate([_GL_WEIGHTS[::-1], _GL_WEIGHTS])
+# integral is a Gauss-Legendre rule's.  The cancellation grows with m, so
+# the switch point does too.  Against mpmath, for m <= 4 the recursion is
+# within 3.3e-15 relative from 0.5 up and the 12-point rule within
+# 4.6e-16 below it; for 5 <= m <= 15 the recursion needs 1.0 (4.9e-15
+# from there up; 2.9e-11 at 0.5 for m = 15) and the 16-point rule is
+# within 2.5e-15 below it.  (switch point, unit nodes, unit weights):
+_SMALL_ARG_LOW = (0.5, *_unit_rule(
+    [0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+     0.7699026741943047, 0.9041172563704749, 0.9815606342467192],
+    [0.24914704581340277, 0.2334925365383548, 0.20316742672306592,
+     0.16007832854334622, 0.10693932599531843, 0.04717533638651183]))
+_SMALL_ARG_HIGH = (1.0, *_unit_rule(
+    [0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+     0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+     0.9445750230732326, 0.9894009349916499],
+    [0.1894506104550685, 0.18260341504492358, 0.16915651939500254,
+     0.14959598881657674, 0.12462897125553388, 0.09515851168249279,
+     0.062253523938647894, 0.027152459411754096]))
 
 
 def _sin_power_recursion(m: int, x: np.ndarray):
@@ -356,18 +407,19 @@ def _sinh_power_recursion(m: int, x: np.ndarray):
 
 def _power_integral(fn, m: int, x):
     """Integral of fn^m over [0, x] for fn np.sin (0 <= x <= pi) or
-    np.sinh (x >= 0): the power-reduction recursion, or the Gauss-Legendre
-    rule where x < _SMALL_ARG."""
+    np.sinh (x >= 0): the power-reduction recursion, or a Gauss-Legendre
+    rule below the switch point for m."""
     x = np.asarray(x, dtype=float)
     out = (_sin_power_recursion if fn is np.sin else _sinh_power_recursion)(m, x)
-    if x.min() < _SMALL_ARG:
-        small = x < _SMALL_ARG
+    small_arg, unit, weights = _SMALL_ARG_LOW if m <= 4 else _SMALL_ARG_HIGH
+    if x.min() < small_arg:
+        small = x < small_arg
         out = np.array(out)
         xs = x[small]
         # a sum per row, not a matrix product, so that each entry is the
         # same whatever the shape of x
-        out[small] = xs * np.sum(fn(np.multiply.outer(xs, _GL_UNIT)) ** m
-                                 * _GL_UNIT_WEIGHTS, axis=-1)
+        out[small] = xs * np.sum(fn(np.multiply.outer(xs, unit)) ** m
+                                 * weights, axis=-1)
     return out
 
 
@@ -490,7 +542,7 @@ def radial_measure_inverse(space: AmbientSpace, y: float) -> float:
         tol = INVERSE_XTOL + INVERSE_RTOL * x
         if hi - lo <= tol:
             return lo if -gap_lo <= gap_hi else hi
-        h, hp, _ = space.h(x)
+        h, hp = space.h_slope(x)
         slope = float(h) ** (n - 1)
         den = slope * slope - 0.5 * gap * (n - 1) * float(h) ** (n - 2) * float(hp)
         step = gap * slope / den if slope > 0.0 and den > 0.0 else math.inf

@@ -308,7 +308,7 @@ def boundary_compat_residual(space: AmbientSpace, profile: GraphProfile,
             rpp = float(w2 @ r[-4:][::-1]) / dz**2
             rppp = -float(w3 @ r[-5:][::-1]) / dz**3
         f, fp, _ = space.f(z_end)
-        h, hp, _ = space.h(r_end)
+        h, hp = space.h_slope(r_end)
         out.append(float(rppp + (n + 1) * (fp / f) * rpp
                          + 2.0 * (n - 1) * hp * fp / (h * f**3)
                          - avg_H * fp / f**2))
@@ -345,7 +345,7 @@ def run_monitors(space: AmbientSpace, bound_set: BoundSet,
     """Check the current state against every a-priori bound.
 
     ``summary`` is read for ``area``, ``volume``, ``avg_H``,
-    ``dissipation``, the slope array ``v`` and ``r_max``: a
+    ``dissipation``, the largest slope ``v_max`` and ``r_max``: a
     GeometrySummary, or the flow's own state evaluation.  A ``profile``,
     when given, supplies r_max in its place; the flow passes None and
     builds no profile for its monitors.
@@ -376,7 +376,7 @@ def run_monitors(space: AmbientSpace, bound_set: BoundSet,
     checks["avg_H_cap"] = MonitorCheck(abs(summary.avg_H), bound_set.avg_H_cap,
                                        abs(summary.avg_H) <= bound_set.avg_H_cap)
 
-    v_max = float(summary.v.max())
+    v_max = summary.v_max
     checks["slope_cap"] = MonitorCheck(v_max, bound_set.v_cap,
                                        v_max <= bound_set.v_cap)
 

@@ -40,13 +40,21 @@ trial rejects the attempt.
 A step costs per-call overhead more than array work, so nothing is
 formed twice.  The grid holds f'/f and f^(n-1) for the run.  Each
 accepted state is evaluated once, by :func:`_full_eval`: its graph
-terms, curvatures and recorded scalars.  The first update from a state
-forms the explicit part E of its right-hand side and keeps it on the
-state, where a retry and the SBDF2 update of its successor read it
-again.  The order of every floating-point operation is frozen all the
-same: reruns and revisions compare ``record.csv`` byte for byte, so a
-cheaper rewrite may drop repeated work but may not reassociate a sum or
-a product; ``tests/test_arithmetic_order.py`` keeps the reference.
+terms, curvatures and recorded scalars.  Its volume is not summed
+again: it is the accepted Newton trial's, which the grid keeps (see
+:func:`_volume_measure`).  The terms keep r''/|c'|^2, which the local
+term, the explicit part and, where f = 1, k1 share.  The first update
+from a state forms the explicit part E of its right-hand side and keeps
+it on the state, where a retry and the SBDF2 update of its successor
+read it again.  Where f = 1 (C1, the Euclidean slab) the terms, the
+average and the update take the unit-f branch: no factor f, no division
+by f and no term in f'.  Where h(r) = r (C1, C5) h is not evaluated,
+and the Newton derivative evaluates h alone elsewhere.  The order of
+every floating-point operation is frozen all the same: reruns and
+revisions compare ``record.csv`` byte for byte, so a cheaper rewrite
+may drop repeated work, a factor one or a term zero, but may not
+reassociate a sum or a product; ``tests/test_arithmetic_order.py``
+keeps the reference.
 
 The tridiagonal solves call LAPACK's dgtsv, loaded from scipy's
 compiled LAPACK extension by :func:`_load_dgtsv`, so a run imports
@@ -149,8 +157,8 @@ class FlowStepError(RuntimeError):
 @dataclass(slots=True)
 class _StateEval:
     """Terms, average and area of one state; the rest filled by _full_eval.
-    Has the ``area``, ``volume``, ``avg_H``, ``dissipation``, ``v`` and
-    ``r_max`` run_monitors reads.
+    Has the ``area``, ``volume``, ``avg_H``, ``dissipation``, ``v_max``
+    and ``r_max`` run_monitors reads.
     ``prev`` is the accepted state a step of size ``dt_prev`` came from,
     kept one level deep, so an update from this state is SBDF2.
     ``explicit`` is the explicit part E of the update's right-hand side,
@@ -183,7 +191,8 @@ def _light_eval(g: GraphGrid, r: np.ndarray) -> _StateEval:
     """
     t = graph_terms(g, r)
     den = float(g.w @ t.elem)
-    avg = -float(g.w @ (g.f * t.gdens * t.local)) / den
+    dens = t.gdens if g.unit_f else g.f * t.gdens
+    avg = -float(g.w @ (dens * t.local)) / den
     return _StateEval(r=r, terms=t, avg_H=avg, area=g.omega * den)
 
 
@@ -193,7 +202,7 @@ def _full_eval(g: GraphGrid, r: np.ndarray) -> _StateEval:
     ev = _light_eval(g, r)
     t = ev.terms
     k1, k2, H = t.curvatures()
-    ev.v = t.speed / g.f
+    ev.v = t.speed if g.unit_f else t.speed / g.f
     ev.volume = g.omega * _volume_measure(g, r)
     # (avg_H - H)^2 is bit for bit the square of this difference
     dev = H - ev.avg_H
@@ -207,8 +216,15 @@ def _full_eval(g: GraphGrid, r: np.ndarray) -> _StateEval:
 
 
 def _volume_measure(g: GraphGrid, r: np.ndarray) -> float:
-    """The discrete enclosed volume of ``r`` without the factor omega."""
-    return float(g.vol_w @ radial_measure(g.space, r))
+    """The discrete enclosed volume of ``r`` without the factor omega.
+
+    The grid keeps the last array measured, matched by identity: the
+    state an update accepts is the Newton trial it measured last, and
+    its evaluation takes that measure instead of summing again.  Radius
+    arrays of the flow are never changed in place."""
+    if r is not g.measured:
+        g.measured, g.measure = r, float(g.vol_w @ radial_measure(g.space, r))
+    return g.measure
 
 
 def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
@@ -238,13 +254,13 @@ def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
     t = ev.terms
     prev = ev.prev
     if ev.explicit is None:
-        ev.explicit = t.local - t.rddot / t.speed2
+        ev.explicit = t.local - t.diffusion
     rhs = np.empty((len(ev.r), 2), order="F")
     if prev is None:
         lead = 1.0
         a = dt / (t.speed2 * g.dz ** 2)
         rhs[:, 0] = ev.r + dt * ev.explicit
-        rhs[:, 1] = dt * t.speed / g.f
+        drive = dt * t.speed
     else:
         # the predecessor's E was formed by the update made from it
         w = dt / ev.dt_prev
@@ -254,7 +270,9 @@ def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
         a = dt * (w1 / t.speed2 - w / tp.speed2) / g.dz ** 2
         rhs[:, 0] = (w1 * ev.r - (w * w / w1) * prev.r
                      + dt * (w1 * ev.explicit - w * prev.explicit))
-        rhs[:, 1] = dt * (w1 * t.speed - w * tp.speed) / g.f
+        drive = dt * (w1 * t.speed - w * tp.speed)
+    # the multiplier's column, dt v = dt |c'|/f
+    rhs[:, 1] = drive if g.unit_f else drive / g.f
     sub = -a[1:]
     sup = -a[:-1]
     sub[-1] *= 2.0
@@ -274,7 +292,8 @@ def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
         gap = _volume_measure(g, r_new) - target
         if abs(gap) <= NEWTON_RTOL * target:
             return r_new
-        lam -= gap / float(g.vol_w @ (space.h(r_new)[0] ** (n - 1) * q))
+        h = r_new if g.linear_h else space.h_value(r_new)
+        lam -= gap / float(g.vol_w @ (h ** (n - 1) * q))
     return None
 
 

@@ -112,6 +112,13 @@ class GraphGrid:
     volume weights w f^n (the enclosed volume is ``omega * vol_w @
     radial_measure(r)``) and the unit-sphere volume.
 
+    ``unit_f`` and ``linear_h`` are read from the space: where f = 1
+    (and f' = 0) the state terms skip every factor f and every term in
+    f', and where h(r) = r they take h = r and h' = ``one`` without
+    evaluating h.  ``measured`` and ``measure`` hold the last radius
+    array the flow measured the volume of and that measure, so that a
+    state measured as a trial is not measured again when it is accepted.
+
     Building one is where a graph state enters the flow and the graph
     kernel, so it checks the profile's radii against the ambient's open
     band (:meth:`AmbientSpace.check_r`); radii derived on the grid
@@ -128,19 +135,26 @@ class GraphGrid:
         self.f, self.fp, _ = space.f(self.z)
         self.fp_over_f = self.fp / self.f
         self.f_pow = self.f ** (space.n - 1)
+        self.unit_f = space.unit_f
+        self.linear_h = space.linear_h
+        self.one = np.ones(len(self.z))
         self.w = quad_weights(len(self.z), self.dz)
         self.vol_w = self.w * self.f ** space.n
         self.omega = unit_sphere_volume(space.n)
+        self.measured: np.ndarray | None = None
+        self.measure = 0.0
 
 
 @dataclass(slots=True)
 class GraphTerms:
     """Per-node terms of a graph state r(z) on a uniform grid.
 
-    ``speed2`` and ``speed`` are |c'|^2 = 1 + (f r')^2 and |c'|; ``gdens``
-    is f^(n-1) h^(n-1) and ``elem = speed * gdens`` the area element
-    against dz without the unit-sphere factor.  ``local`` is the flow's
-    right-hand side without its nonlocal term, which equals -H |c'|/f.
+    ``speed2`` and ``speed`` are |c'|^2 = 1 + (f r')^2 and |c'|;
+    ``diffusion`` is r''/|c'|^2, the part of the flow that a step treats
+    implicitly; ``gdens`` is f^(n-1) h^(n-1) and ``elem = speed * gdens``
+    the area element against dz without the unit-sphere factor.
+    ``local`` is the flow's right-hand side without its nonlocal term,
+    which equals -H |c'|/f.
     """
 
     grid: GraphGrid
@@ -148,6 +162,7 @@ class GraphTerms:
     rddot: np.ndarray
     speed2: np.ndarray
     speed: np.ndarray
+    diffusion: np.ndarray
     h: np.ndarray
     hp: np.ndarray
     gdens: np.ndarray
@@ -156,27 +171,42 @@ class GraphTerms:
 
     def curvatures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(k1, k2, H) at every node."""
-        f = self.grid.f
-        slope = self.grid.fp * self.rdot
-        k1 = -(self.rddot * f / self.speed2
-               + slope * (1.0 / self.speed2 + 1.0)) / self.speed
-        k2 = (self.hp / (self.h * f) - slope) / self.speed
+        if self.grid.unit_f:
+            # the general form with f = 1 and f' = 0, as in graph_terms
+            k1 = -self.diffusion / self.speed
+            k2 = self.hp / self.h / self.speed
+        else:
+            f = self.grid.f
+            slope = self.grid.fp * self.rdot
+            k1 = -(self.rddot * f / self.speed2
+                   + slope * (1.0 / self.speed2 + 1.0)) / self.speed
+            k2 = (self.hp / (self.h * f) - slope) / self.speed
         return k1, k2, mean_curvature(k1, k2, self.grid.space.n)
 
 
 def graph_terms(grid: GraphGrid, r: np.ndarray) -> GraphTerms:
-    """The terms of the radii ``r`` on the grid."""
+    """The terms of the radii ``r`` on the grid.
+
+    Where f = 1 every factor f and 1/f is dropped and every term in f'
+    (a signed zero) is left out.  As x * 1 = x and x + 0 = x, this
+    gives the general form's bits; it can only flip the sign of a zero
+    k1, which no recorded value reads."""
     f, n = grid.f, grid.space.n
     rdot, rddot = diff_radii(r, grid.dz)
-    h, hp, _ = grid.space.h(r)
-    speed2 = 1.0 + (f * rdot) ** 2
+    h, hp = (r, grid.one) if grid.linear_h else grid.space.h_slope(r)
+    speed2 = 1.0 + (rdot if grid.unit_f else f * rdot) ** 2
     speed = np.sqrt(speed2)
-    local = (rddot / speed2 + grid.fp_over_f * (1.0 / speed2 + n) * rdot
-             - (n - 1) * hp / (h * f * f))
-    gdens = grid.f_pow * h ** (n - 1)
+    diffusion = rddot / speed2
+    if grid.unit_f:
+        local = diffusion - (n - 1) * hp / h
+        gdens = h ** (n - 1)
+    else:
+        local = (diffusion + grid.fp_over_f * (1.0 / speed2 + n) * rdot
+                 - (n - 1) * hp / (h * f * f))
+        gdens = grid.f_pow * h ** (n - 1)
     return GraphTerms(grid=grid, rdot=rdot, rddot=rddot, speed2=speed2,
-                      speed=speed, h=h, hp=hp, gdens=gdens,
-                      elem=speed * gdens, local=local)
+                      speed=speed, diffusion=diffusion, h=h, hp=hp,
+                      gdens=gdens, elem=speed * gdens, local=local)
 
 
 def area(space: AmbientSpace, curve, rule: str = "trapezoid") -> float:
@@ -247,14 +277,16 @@ class GeometrySummary:
 
     The graph quantity v = speed/f satisfies v >= 1/f always, with
     equality exactly at critical points of r, and finite v is the graph
-    condition.  ``dissipation`` is the area-decay integral of (avg_H -
-    H)^2 over the hypersurface, and ``r_max`` the largest radius.
+    condition; ``v_max`` is its largest value.  ``dissipation`` is the
+    area-decay integral of (avg_H - H)^2 over the hypersurface, and
+    ``r_max`` the largest radius.
     """
 
     k1: np.ndarray
     k2: np.ndarray
     H: np.ndarray
     v: np.ndarray
+    v_max: float
     area: float
     volume: float
     avg_H: float
@@ -274,8 +306,9 @@ def summarize(space: AmbientSpace, profile: GraphProfile,
     omega = unit_sphere_volume(n)
     denom = quadrature(elem, x=e.s, rule=rule)
     avg_H = quadrature(H * elem, x=e.s, rule=rule) / denom
+    v = e.speed / e.f
     return GeometrySummary(
-        k1=k1, k2=k2, H=H, v=e.speed / e.f, area=omega * denom,
+        k1=k1, k2=k2, H=H, v=v, v_max=float(v.max()), area=omega * denom,
         volume=_volume(space, e.z, e.f, e.r, rule),
         avg_H=avg_H,
         dissipation=omega * quadrature((avg_H - H) ** 2 * elem, x=e.s,

@@ -46,6 +46,27 @@ def test_flat_slab_model():
     assert (h, hp, hpp) == (1.4, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("case,lam,lam_h", [
+    ("C1", None, None), ("C2", None, None), ("C3", -1.0, None),
+    ("C3", -1.0, -2.0), ("C4", -1.0, None), ("C5", -1.0, None),
+    ("C6", 1.0, None), ("C6", 1.0, 3.0)])
+def test_warping_shortcuts_agree_with_the_closed_forms(case, lam, lam_h):
+    # h_value and h_slope are h without its derivatives, bit for bit, and
+    # unit_f and linear_h say what f and h are on the space's domain
+    sp = make_space(case, lam=lam, lam_h=lam_h)
+    r = np.linspace(0.1, 0.9, 9) * (sp.h_zero or 3.0)
+    for radii in (r, 0.7, np.float64(1.3)):
+        h, hp, _ = sp.h(radii)
+        assert np.array_equal(sp.h_value(radii), h)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(sp.h_slope(radii), (h, hp)))
+    h, hp, _ = sp.h(r)
+    assert sp.linear_h == bool(np.array_equal(h, r) and np.all(hp == 1.0))
+    z = np.linspace(0.1, 0.9, 9) - (0.5 if sp.z_domain[0] is None else 0.0)
+    f, fp, _ = sp.f(z)
+    assert sp.unit_f == bool(np.all(f == 1.0) and np.all(fp == 0.0))
+
+
 def test_spherical_crown_model():
     sp = make_space("C2", n=2)
     assert sp.h_zero == math.pi
@@ -422,6 +443,39 @@ def test_radial_measure_keeps_its_relative_accuracy_near_the_axis(case, lam,
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
         assert radial_measure_inverse(sp, got) \
             == pytest.approx(R, rel=0.0, abs=2e-14)
+
+
+# (case, lam, lam_h) and the rate m of h(r) = sin(m r)/m or sinh(m r)/m
+MEASURE_CASES = [("C2", None, None, 1.0), ("C3", -1.0, -2.0, math.sqrt(2.0)),
+                 ("C6", 1.0, 3.0, math.sqrt(3.0))]
+
+
+@pytest.mark.parametrize("case,lam,lam_h,m", MEASURE_CASES,
+                         ids=["C2", "C3-mismatched", "C6-mismatched"])
+def test_radial_measure_is_accurate_for_every_n(case, lam, lam_h, m):
+    # the closed form switches from a Gauss-Legendre rule to the
+    # power-reduction recursion at an argument m R that grows with n;
+    # the arguments straddle both switch points, 0.5 and 1.0
+    import mpmath
+
+    sin = mpmath.sinh if case == "C3" else mpmath.sin
+    top = 4.0 if case == "C3" else 0.999 * math.pi
+    args = [1e-3, 1e-2, 0.1, 0.3, 0.49, 0.5, 0.51, 0.7, 0.99, 1.0, 1.01,
+            1.5, 2.0, 2.5, 3.0, top]
+    radii = np.array([x / m for x in args if x <= top])
+    for n in range(2, 17):
+        sp = make_space(case, lam=lam, n=n, lam_h=lam_h)
+        on_array = radial_measure(sp, radii)
+        for R, value in zip(radii, on_array):
+            # R^n times the integral of (h(R t)/R)^(n-1) over [0, 1],
+            # whose integrand is of order one
+            with mpmath.workdps(30):
+                Rm, mm = mpmath.mpf(R), mpmath.mpf(m)
+                want = float(Rm ** n * mpmath.quad(
+                    lambda t: (sin(mm * Rm * t) / (mm * Rm)) ** (n - 1),
+                    [0, 1]))
+            for got in (value, radial_measure(sp, R)):
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0), (n, R)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")

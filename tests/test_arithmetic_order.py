@@ -21,11 +21,13 @@ from eqflow.geometry import GraphGrid
 CASES = [
     ("C1", {"case": "C1"}, (0.0, 1.0)),
     ("C1-n3", {"case": "C1", "n": 3}, (0.0, 1.0)),
+    ("C1-n4", {"case": "C1", "n": 4}, (0.0, 1.0)),
     ("C2-n4", {"case": "C2", "n": 4}, (1.0, 2.0)),
     ("C3-mismatched-n3", {"case": "C3", "lam": -1.0, "lam_h": -2.0, "n": 3},
      (-0.5, 0.5)),
     ("C4", {"case": "C4", "lam": -1.0}, (1.0, 2.0)),
     ("C5", {"case": "C5", "lam": -1.0}, (0.0, 1.0)),
+    ("C5-n3", {"case": "C5", "lam": -1.0, "n": 3}, (0.0, 1.0)),
     ("C6-mismatched", {"case": "C6", "lam": 1.0, "lam_h": 3.0}, (-0.5, 0.5)),
 ]
 GRIDS = (50, 400)

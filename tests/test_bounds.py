@@ -345,6 +345,14 @@ def test_monitors_pass_on_stationary_state():
     assert "dissipation" not in report.checks   # needs a previous step
 
 
+def test_slope_check_reads_the_largest_slope_of_the_summary():
+    prof, summ, bset = _healthy_setup()
+    assert summ.v_max == float(np.max(summ.v))
+    steep = dataclasses.replace(summ, v_max=2.0 * bset.v_cap)
+    check = run_monitors(C1, bset, prof, steep, 0.0).checks["slope_cap"]
+    assert check.observed == 2.0 * bset.v_cap and not check.passed
+
+
 def test_monitors_flag_corrupted_radius():
     prof, summ, bset = _healthy_setup()
     bad = prof.with_radii(prof.r * 10.0)

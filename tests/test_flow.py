@@ -413,6 +413,62 @@ def test_run_band_checks_do_not_grow_with_steps(monkeypatch):
     assert checks1 == checks2
 
 
+@pytest.mark.parametrize("space,slab,h_calls", [
+    (FLAT, (0.0, 1.0), []),
+    (make_space("C5", lam=-1.0), (0.0, 1.0), []),
+    (SPHERE_BAND, (1.0, 2.0), ["h_value"]),
+], ids=["C1", "C5", "C2"])
+def test_run_measures_each_trial_once_and_evaluates_only_h(monkeypatch,
+                                                           space, slab,
+                                                           h_calls):
+    prof = make_initial(space, slab, 64, kind="perturbed", radius=1.0,
+                        amplitude=0.1)
+    seen = _count_band_checks(monkeypatch)
+    measured = []
+    radial_measure = flow.radial_measure
+
+    def counting_radial_measure(sp, R):
+        if np.ndim(R):
+            measured.append(R)
+        return radial_measure(sp, R)
+
+    monkeypatch.setattr(flow, "radial_measure", counting_radial_measure)
+    # the warping calls made inside an update, by method name
+    inside, called = [], []
+    update = flow._imex_update
+
+    def watched_update(*args):
+        inside.append(True)
+        try:
+            return update(*args)
+        finally:
+            inside.pop()
+
+    for name in ("h", "h_slope", "h_value"):
+        def spying(self, r, real=getattr(AmbientSpace, name), name=name):
+            if inside:
+                called.append(name)
+            return real(self, r)
+        monkeypatch.setattr(AmbientSpace, name, spying)
+    monkeypatch.setattr(flow, "_imex_update", watched_update)
+    res = run(space, prof, FlowConfig(T_max=0.01))
+    assert res.steps >= 5
+    # the states the band test sees whole: the entry check, then each
+    # Newton trial
+    states = [r for r in seen["admits"]
+              if isinstance(r, np.ndarray) and r.shape == prof.r.shape]
+    assert states[0] is prof.r
+    trials = states[1:]
+    assert len(trials) >= res.steps
+    # one volume sum for the initial state and one per trial: an
+    # accepted state, the last trial of its update, is not summed again
+    assert len(measured) == 1 + len(trials)
+    assert measured[0] is prof.r
+    assert all(m is t for m, t in zip(measured[1:], trials))
+    # the Newton derivative reads h alone, and on h(r) = r not even that
+    assert sorted(set(called)) == h_calls
+
+
 # ---------------------------------------------------------------- full runs
 
 
