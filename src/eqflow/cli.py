@@ -20,6 +20,7 @@ command cannot leave a half-written artifact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -197,7 +198,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="eqflow",
         description="Volume-preserving curvature flow of revolution graphs")
@@ -206,12 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="integrate a configured flow")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.set_defaults(func=cmd_run)
 
     p_bounds = sub.add_parser("bounds",
                               help="print a-priori constants for a config")
     p_bounds.add_argument("--config", required=True)
-    p_bounds.set_defaults(func=cmd_bounds)
 
     p_app = sub.add_parser("appendix-b",
                            help="rolling-curve averaged-curvature benchmark")
@@ -220,29 +221,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_app.add_argument("--samples", default=10000,
                        type=_int_at_least(reference_cases._MIN_SAMPLES))
     p_app.add_argument("--out", default=None)
-    p_app.set_defaults(func=cmd_appendix_b)
 
     p_ver = sub.add_parser("verify-curvature",
                            help="sampled space-form curvature check")
     p_ver.add_argument("--config", default=None)
     p_ver.add_argument("--case", choices=ambient.CASES, default=None)
     p_ver.add_argument("--samples", type=_int_at_least(1), default=1000)
-    p_ver.set_defaults(func=cmd_verify_curvature)
 
     p_sw = sub.add_parser("sweep",
                           help="benchmark across curvature scales")
     p_sw.add_argument("--samples", default=4000,
                       type=_int_at_least(reference_cases._MIN_SAMPLES))
     p_sw.add_argument("--out", default=None)
-    p_sw.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on every call, so a wrapper later set on the module runs
+    command = {"run": cmd_run, "bounds": cmd_bounds,
+               "appendix-b": cmd_appendix_b,
+               "verify-curvature": cmd_verify_curvature,
+               "sweep": cmd_sweep}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

@@ -15,15 +15,19 @@ or extrapolated coefficient (a tridiagonal solve) and everything else
 explicitly.  The update is affine in the average, so each step solves
 for two right-hand sides and picks the multiplier by Newton so that the
 discrete volume of the new state equals the run's initial volume to
-rounding; the state's own average is the Newton start.  A step from a
-state that carries its predecessor is a variable-step SBDF2 step
-(Ascher, Ruuth and Spiteri 1997), second order in time; without one it
-is an IMEX-Euler step, first order.  The first step of a run and every
-public :func:`step` are of the second kind.  A run makes one update per
-attempt and estimates its error from the accepted history, so each step
-costs one solve; the step size is controlled against a fixed per-step
-tolerance, under a cap at the largest step the dissipation monitor
-checks.
+rounding; the state's own average is the Newton start.  The order of a
+step follows the history its state carries.  Without a predecessor it
+is an IMEX-Euler step, first order: the first step of a run and every
+public :func:`step`.  With one or two it is a variable-step SBDF2 step
+(Ascher, Ruuth and Spiteri 1997), second order.  With three, which a
+run keeps from its fourth step on, it is a variable-step SBDF3 step,
+the third-order member of the same IMEX-BDF family (Ascher, Ruuth and
+Wetton 1995), whose O(dt^4) local error lets a run take far fewer
+steps.  A run makes one update per attempt and estimates its error
+from the accepted history, so each step costs one solve; the step size
+is controlled against a fixed per-step tolerance of the step's order
+(STEP_TOL, or STEP_TOL3 for SBDF3), under a cap at the largest step the
+dissipation monitor checks.
 
 A run is a stepper and an observer.  The stepper (:func:`_stepper`)
 does the step control on bare radius arrays: it takes the steps,
@@ -45,11 +49,12 @@ again: it is the accepted Newton trial's, which the grid keeps (see
 :func:`_volume_measure`).  The terms keep r''/|c'|^2, which the local
 term, the explicit part and, where f = 1, k1 share.  The first update
 from a state forms the explicit part E of its right-hand side and keeps
-it on the state, where a retry and the SBDF2 update of its successor
-read it again.  Where f = 1 (C1, the Euclidean slab) the terms, the
-average and the update take the unit-f branch: no factor f, no division
-by f and no term in f'.  Where h(r) = r (C1, C5) h is not evaluated,
-and the Newton derivative evaluates h alone elsewhere.  The order of
+it on the state, where a retry and the updates of its successors read
+it again.  Where f = 1 (C1, the Euclidean slab) the terms, the average
+and the update take the unit-f branch: no factor f, no division by f
+and no term in f'.  Where h(r) = r (C1, C5) h is not evaluated nor
+multiplied by h' = 1, and the Newton derivative evaluates h alone
+elsewhere; at n = 2 h^(n-1) is h itself.  The order of
 every floating-point operation is frozen all the same: reruns and
 revisions compare ``record.csv`` byte for byte, so a cheaper rewrite
 may drop repeated work, a factor one or a term zero, but may not
@@ -77,7 +82,17 @@ from .bounds import MONITOR_DT_MAX, BoundSet, compute_bound_set, run_monitors
 from .curve import GraphProfile
 from .geometry import GraphGrid, GraphTerms, graph_terms, weingarten_norm
 
-STEP_TOL = 1e-6          # per-step error bound of the step control
+STEP_TOL = 1e-6          # per-step error bound of IMEX-Euler and SBDF2 steps
+STEP_TOL3 = 1e-8         # per-step error bound of SBDF3 steps
+# Grow cap of the step ratio of SBDF3 steps.  Variable-step BDF3 is
+# zero-stable at a constant step ratio only below (1 + sqrt 5)/2; with
+# every ratio in [0.1, 1.2] (the shrink floor and this cap) the solutions
+# of its homogeneous formula decay whatever the sequence of ratios, as
+# tests/test_sbdf3.py checks.  On zero-stability of multistep methods on
+# variable grids see Grigorieff, Numer. Math. 42 (1983) 359-377.  A cap
+# of 2 instead saves two steps on the headline run (of 202) and at most
+# one on C2, C4 and C6 to T = 0.05.
+GROW3 = 1.2
 RECT_MARGIN = 0.01       # radius envelope margin for the frozen bounds
 MAX_RETRIES = 60
 # Newton on the volume multiplier: at most NEWTON_MAX trial states, done
@@ -159,11 +174,12 @@ class _StateEval:
     """Terms, average and area of one state; the rest filled by _full_eval.
     Has the ``area``, ``volume``, ``avg_H``, ``dissipation``, ``v_max``
     and ``r_max`` run_monitors reads.
-    ``prev`` is the accepted state a step of size ``dt_prev`` came from,
-    kept one level deep, so an update from this state is SBDF2.
+    ``prev`` is the accepted state a step of size ``dt_prev`` came from;
+    a run keeps the chain three levels deep, and its length sets the
+    order of an update from this state.
     ``explicit`` is the explicit part E of the update's right-hand side,
     formed by the first update from the state and read again by every
-    retry and by the SBDF2 update of its successor."""
+    retry and by the updates of its successors."""
 
     r: np.ndarray
     terms: GraphTerms
@@ -227,6 +243,14 @@ def _volume_measure(g: GraphGrid, r: np.ndarray) -> float:
     return g.measure
 
 
+def _third_order(ev: _StateEval) -> bool:
+    """True when ``ev`` carries three predecessors, so that a step from
+    it is SBDF3 and its error estimate third order."""
+    prev = ev.prev
+    return (prev is not None and prev.prev is not None
+            and prev.prev.prev is not None)
+
+
 def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
                  target: float) -> np.ndarray | None:
     """One implicit-explicit update whose discrete volume measure
@@ -236,33 +260,46 @@ def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
     Write the flow as r_t = A r'' + E + lam v with A = 1/|c'|^2, v =
     |c'|/f and E the rest of the local term.  Without ``ev.prev`` the
     update is IMEX-Euler: A frozen at the state, E and v explicit.  With
-    it, and w = dt/dt_prev, it is variable-step SBDF2:
+    one or two predecessors, and w = dt/dt_prev, it is variable-step
+    SBDF2:
 
         (1+2w)/(1+w) r+ - dt A* r+'' = (1+w) r - w^2/(1+w) r-
                                        + dt [(1+w) E - w E-]
                                        + lam dt [(1+w) v - w v-],
 
     with A* = (1+w) A - w A- extrapolated from the predecessor (the
-    minus quantities).  Either way the implicit part is a tridiagonal
-    solve; the ghost closure r''(a) = 2 (r_1 - r_0)/dz^2 keeps the
-    Neumann walls exact.  The average enters only the explicit part, so
-    one solve with two right-hand sides gives r+ = p + lam q for every
-    lam, and lam is the root of sum w f^n R(p + lam q) = target, with
-    derivative sum w f^n h^(n-1) q, found by Newton from the state's
-    average.
+    minus quantities).  With three predecessors it is variable-step
+    SBDF3 on the state and the two latest of them, a step of dt_1 and
+    one of dt_2 back: the left side is dt times the derivative at t + dt
+    of the Lagrange interpolant through r+ and the three states, and A,
+    E and v are extrapolated quadratically from those states.  With
+    b_j the weights of that extrapolation, in the step ratios w =
+    dt/dt_1 and u = dt_2/dt_1,
+
+        b_0 = (1+w)(1+w+u)/(1+u),  b_1 = -w(1+w+u)/u,
+        b_2 = w(1+w)/((1+u)u),
+
+    the lead weight is 1 + w/(1+w) + w/(1+w+u) and the j-th state enters
+    the right side with the weight b_j, b_1 w/(1+w) and b_2 w/(1+w+u).
+    Every update is one tridiagonal solve; the ghost closure r''(a) =
+    2 (r_1 - r_0)/dz^2 keeps the Neumann walls exact.  The average
+    enters only the explicit part, so one solve with two right-hand
+    sides gives r+ = p + lam q for every lam, and lam is the root of
+    sum w f^n R(p + lam q) = target, with derivative sum w f^n h^(n-1)
+    q, found by Newton from the state's average.
     """
     t = ev.terms
     prev = ev.prev
     if ev.explicit is None:
         ev.explicit = t.local - t.diffusion
     rhs = np.empty((len(ev.r), 2), order="F")
+    # the predecessors' E were formed by the updates made from them
     if prev is None:
         lead = 1.0
         a = dt / (t.speed2 * g.dz ** 2)
         rhs[:, 0] = ev.r + dt * ev.explicit
         drive = dt * t.speed
-    else:
-        # the predecessor's E was formed by the update made from it
+    elif not _third_order(ev):
         w = dt / ev.dt_prev
         w1 = 1.0 + w
         tp = prev.terms
@@ -271,6 +308,23 @@ def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
         rhs[:, 0] = (w1 * ev.r - (w * w / w1) * prev.r
                      + dt * (w1 * ev.explicit - w * prev.explicit))
         drive = dt * (w1 * t.speed - w * tp.speed)
+    else:
+        back = prev.prev
+        tp, tb = prev.terms, back.terms
+        w = dt / ev.dt_prev
+        u = prev.dt_prev / ev.dt_prev
+        w1, wu, u1 = 1.0 + w, 1.0 + w + u, 1.0 + u
+        b0 = w1 * wu / u1
+        b1 = -w * wu / u
+        b2 = w * w1 / (u1 * u)
+        lead = 1.0 + w / w1 + w / wu
+        a = (dt * (b0 / t.speed2 + b1 / tp.speed2 + b2 / tb.speed2)
+             / g.dz ** 2)
+        rhs[:, 0] = (b0 * ev.r + (b1 * w / w1) * prev.r
+                     + (b2 * w / wu) * back.r
+                     + dt * (b0 * ev.explicit + b1 * prev.explicit
+                             + b2 * back.explicit))
+        drive = dt * (b0 * t.speed + b1 * tp.speed + b2 * tb.speed)
     # the multiplier's column, dt v = dt |c'|/f
     rhs[:, 1] = drive if g.unit_f else drive / g.f
     sub = -a[1:]
@@ -293,8 +347,17 @@ def _imex_update(g: GraphGrid, ev: _StateEval, dt: float,
         if abs(gap) <= NEWTON_RTOL * target:
             return r_new
         h = r_new if g.linear_h else space.h_value(r_new)
-        lam -= gap / float(g.vol_w @ (h ** (n - 1) * q))
+        lam -= gap / float(g.vol_w @ ((h if n == 2 else h ** (n - 1)) * q))
     return None
+
+
+def _linear_error(ev: _StateEval, dt: float, r_new: np.ndarray) -> float:
+    """The gap of ``r_new`` to the linear extrapolation of the state and
+    its predecessor, scaled by dt/(dt + dt_prev): the O(dt^2) local
+    error of a first-order step."""
+    w = dt / ev.dt_prev
+    gap = r_new - ev.r - w * (ev.r - ev.prev.r)
+    return dt / (dt + ev.dt_prev) * float(np.abs(gap).max())
 
 
 def _step_error(g: GraphGrid, ev: _StateEval, dt: float,
@@ -302,18 +365,42 @@ def _step_error(g: GraphGrid, ev: _StateEval, dt: float,
     """Local error estimate of the update ``r_new`` from ``ev``, at no
     extra solve.
 
-    With a predecessor it is the gap to the linear extrapolation of the
-    last two accepted states, scaled by dt/(dt + dt_prev); without one,
-    half the gap to forward Euler driven by the state's average.  Both
-    are the O(dt^2) local error of a first-order step.
+    Without a predecessor it is half the gap to forward Euler driven by
+    the state's average; with one or two it is :func:`_linear_error`.
+    Both are the O(dt^2) local error of a first-order step, which bounds
+    the error of the SBDF2 step they accept.
+
+    An SBDF3 step (three predecessors) is estimated at its own order by
+    Milne's device: the gap between r_new and the cubic extrapolation P
+    of the state and its three predecessors, times |C/(C - P)|, where C
+    and P are the variable-step error constants of the BDF3 formula and
+    of the extrapolation.  Both are multiples of the fourth derivative:
+    with s_k the distance from t + dt back to the k-th state (s_1 = dt)
+    and a_0 = 1/s_1 + 1/s_2 + 1/s_3 the formula's lead weight, C =
+    s_1 s_2 s_3/(24 a_0) and P = -s_1 s_2 s_3 s_4/24, so the factor is
+    1/(1 + a_0 s_4): 3/25 at a constant step.
     """
-    if ev.prev is None:
+    prev = ev.prev
+    if prev is None:
         t = ev.terms
         euler = ev.r + dt * (t.local + ev.avg_H * t.speed / g.f)
         return 0.5 * float(np.abs(r_new - euler).max())
+    if not _third_order(ev):
+        return _linear_error(ev, dt, r_new)
+    back = prev.prev
+    # distances back from t + dt in units of dt_prev: s_1 = w, s_2 ... s_4
     w = dt / ev.dt_prev
-    gap = r_new - ev.r - w * (ev.r - ev.prev.r)
-    return dt / (dt + ev.dt_prev) * float(np.abs(gap).max())
+    u = prev.dt_prev / ev.dt_prev
+    v = back.dt_prev / ev.dt_prev
+    s2 = 1.0 + w
+    s3 = s2 + u
+    s4 = s3 + v
+    gap = (r_new - (s2 * s3 * s4 / ((1.0 + u) * (1.0 + u + v))) * ev.r
+           + (w * s3 * s4 / (u * (u + v))) * prev.r
+           - (w * s2 * s4 / ((1.0 + u) * u * v)) * back.r
+           + (w * s2 * s3 / ((1.0 + u + v) * (u + v) * v)) * back.prev.r)
+    lead = 1.0 + w / s2 + w / s3
+    return float(np.abs(gap).max()) / (1.0 + lead * s4 / w)
 
 
 def averaged_for_step(space: AmbientSpace, profile: GraphProfile) -> float:
@@ -420,6 +507,14 @@ def initial_bound_set(space: AmbientSpace, initial: GraphProfile) -> BoundSet:
     return _initial_bounds(g, _full_eval(g, initial.r))
 
 
+def _aim(err: float, tol: float, third: bool) -> float:
+    """0.9 (tol/err)^(1/2), or 0.9 (tol/err)^(1/4) for an SBDF3 step:
+    the dt factor that puts the error of the next step, O(dt^2) or
+    O(dt^4), near tol."""
+    x = math.sqrt(tol / err)
+    return 0.9 * (math.sqrt(x) if third else x)
+
+
 def _stepper(g: GraphGrid, ev: _StateEval, config: FlowConfig,
              target: float):
     """Step control of :func:`run`, from the initial state ``ev``.
@@ -434,11 +529,21 @@ def _stepper(g: GraphGrid, ev: _StateEval, config: FlowConfig,
     ``dt_min`` and for at most MAX_RETRIES attempts.  The attempts from
     a state are made before it is yielded and its successor is
     evaluated after, so it links its predecessor while it is observed.
+
+    A step's order sets its control.  IMEX-Euler and SBDF2 steps are
+    accepted within STEP_TOL, and dt moves by 0.9 (STEP_TOL/err)^(1/2),
+    growing at most 2-fold; SBDF3 steps within STEP_TOL3, with the
+    exponent 1/4 and growth of at most GROW3.  At ``dt_min`` an SBDF3
+    step that misses STEP_TOL3 is held to the second-order rule instead
+    (:func:`_linear_error` within STEP_TOL), so a run pinned at a dt
+    that SBDF2 steps pass does not fail.  ``err_ratio_max`` reads each
+    accepted error against the bound it was held to.  Each new state
+    keeps three predecessors, and the link to a fourth is cut.
     """
     space, policy = g.space, config.dt
     t = 0.0
     steps = attempts = 0
-    dt_lo, dt_hi, err_max = math.inf, 0.0, 0.0
+    dt_lo, dt_hi, ratio_max = math.inf, 0.0, 0.0
     dt_next = policy.dt_max
     while True:
         end = side = None
@@ -452,18 +557,27 @@ def _stepper(g: GraphGrid, ev: _StateEval, config: FlowConfig,
         elif t >= config.T_max * (1.0 - 1e-14):
             end = "reached_T"
         else:
+            third = _third_order(ev)
+            tol = STEP_TOL3 if third else STEP_TOL
             dt = min(dt_next, config.T_max - t)
             for _ in range(MAX_RETRIES):
                 attempts += 1
                 r_new = _imex_update(g, ev, dt, target)
                 err = (math.inf if r_new is None
                        else _step_error(g, ev, dt, r_new))
-                if err <= STEP_TOL or dt <= policy.dt_min:
+                if err <= tol:
+                    break
+                if dt <= policy.dt_min:
+                    if third and r_new is not None:
+                        # pinned at dt_min, an SBDF3 step is held to the
+                        # rule of the second-order steps instead
+                        err, tol, third = (_linear_error(ev, dt, r_new),
+                                           STEP_TOL, False)
                     break
                 shrink = 0.5 if not math.isfinite(err) else max(
-                    0.1, min(0.5, 0.9 * math.sqrt(STEP_TOL / err)))
+                    0.1, min(0.5, _aim(err, tol, third)))
                 dt = max(dt * shrink, policy.dt_min)
-            if err > STEP_TOL:
+            if err > tol:
                 end = "step_failure"
         if end is not None:
             yield steps, t, ev, (end, side, {
@@ -471,19 +585,22 @@ def _stepper(g: GraphGrid, ev: _StateEval, config: FlowConfig,
                 "dt_min": dt_lo if steps else None,
                 "dt_max": dt_hi if steps else None,
                 "dt_mean": t / steps if steps else None,
-                "err_ratio_max": err_max / STEP_TOL if steps else None})
+                "err_ratio_max": ratio_max if steps else None})
             return
         yield steps, t, ev, None
-        # a grow cap of 2 keeps the step ratio below 1 + sqrt(2), the
-        # zero-stability limit of variable-step BDF2
-        grow = 2.0 if err == 0.0 else min(2.0, 0.9 * math.sqrt(STEP_TOL / err))
+        # a grow cap of 2 keeps the step ratio of BDF2 below 1 + sqrt(2),
+        # its zero-stability limit; GROW3 keeps that of BDF3 (see there)
+        cap = GROW3 if third else 2.0
+        grow = cap if err == 0.0 else min(cap, _aim(err, tol, third))
         dt_next = min(policy.dt_max, dt * grow)
         t += dt
         steps += 1
         dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
-        err_max = max(err_max, err)
-        # the new state keeps this one as its predecessor, one level deep
-        ev.prev = None
+        ratio_max = max(ratio_max, err / tol)
+        # the new state keeps this one and its two predecessors, so it
+        # carries three and the fourth is cut
+        if ev.prev is not None and ev.prev.prev is not None:
+            ev.prev.prev.prev = None
         new_ev = _full_eval(g, r_new)
         new_ev.prev, new_ev.dt_prev = ev, dt
         ev = new_ev
@@ -527,11 +644,12 @@ def run(space: AmbientSpace, initial: GraphProfile, config: FlowConfig,
     eps_axis of the axis, or max r within eps_axis of the far axis), and
     ``step_failure`` (no admissible step above dt_min).
 
-    The steps come from :func:`_stepper`: IMEX-Euler first and SBDF2
-    on the last two accepted states after, each attempt one update,
-    accepted when its :func:`_step_error` is within STEP_TOL.  ``stats``
+    The steps come from :func:`_stepper`: IMEX-Euler first, SBDF2 on
+    the accepted history for the next two and SBDF3 after, each attempt
+    one update, accepted when its :func:`_step_error` is within the
+    bound of its order (STEP_TOL, or STEP_TOL3 for SBDF3).  ``stats``
     counts the attempts and gives the accepted dt range and
-    ``err_ratio_max``, the largest error / STEP_TOL of an accepted step.
+    ``err_ratio_max``, the largest error / bound of an accepted step.
     Every step conserves the discrete volume of the initial state to
     rounding.  The recorded ``avgH`` column is the state's own average,
     also the Newton start of the step from that state.

@@ -115,9 +115,10 @@ class GraphGrid:
     ``unit_f`` and ``linear_h`` are read from the space: where f = 1
     (and f' = 0) the state terms skip every factor f and every term in
     f', and where h(r) = r they take h = r and h' = ``one`` without
-    evaluating h.  ``measured`` and ``measure`` hold the last radius
-    array the flow measured the volume of and that measure, so that a
-    state measured as a trial is not measured again when it is accepted.
+    evaluating h or multiplying by h'.  ``measured`` and ``measure``
+    hold the last radius array the flow measured the volume of and that
+    measure, so that a state measured as a trial is not measured again
+    when it is accepted.
 
     Building one is where a graph state enters the flow and the graph
     kernel, so it checks the profile's radii against the ambient's open
@@ -171,16 +172,18 @@ class GraphTerms:
 
     def curvatures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(k1, k2, H) at every node."""
+        # h' = 1 where h(r) = r, as in graph_terms
+        hp = 1.0 if self.grid.linear_h else self.hp
         if self.grid.unit_f:
             # the general form with f = 1 and f' = 0, as in graph_terms
             k1 = -self.diffusion / self.speed
-            k2 = self.hp / self.h / self.speed
+            k2 = hp / self.h / self.speed
         else:
             f = self.grid.f
             slope = self.grid.fp * self.rdot
             k1 = -(self.rddot * f / self.speed2
                    + slope * (1.0 / self.speed2 + 1.0)) / self.speed
-            k2 = (self.hp / (self.h * f) - slope) / self.speed
+            k2 = (hp / (self.h * f) - slope) / self.speed
         return k1, k2, mean_curvature(k1, k2, self.grid.space.n)
 
 
@@ -197,13 +200,16 @@ def graph_terms(grid: GraphGrid, r: np.ndarray) -> GraphTerms:
     speed2 = 1.0 + (rdot if grid.unit_f else f * rdot) ** 2
     speed = np.sqrt(speed2)
     diffusion = rddot / speed2
+    # h' = 1 where h(r) = r, and h^(n-1) = h at n = 2: neither is formed
+    orbit = (n - 1) if grid.linear_h else (n - 1) * hp
+    h_pow = h if n == 2 else h ** (n - 1)
     if grid.unit_f:
-        local = diffusion - (n - 1) * hp / h
-        gdens = h ** (n - 1)
+        local = diffusion - orbit / h
+        gdens = h_pow
     else:
         local = (diffusion + grid.fp_over_f * (1.0 / speed2 + n) * rdot
-                 - (n - 1) * hp / (h * f * f))
-        gdens = grid.f_pow * h ** (n - 1)
+                 - orbit / (h * f * f))
+        gdens = grid.f_pow * h_pow
     return GraphTerms(grid=grid, rdot=rdot, rddot=rddot, speed2=speed2,
                       speed=speed, diffusion=diffusion, h=h, hp=hp,
                       gdens=gdens, elem=speed * gdens, local=local)

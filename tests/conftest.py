@@ -90,6 +90,35 @@ def reference_update(g, s, dt, target, prev=None, dt_prev=0.0):
                              - w * (prev["local"]
                                     - prev["rddot"] / prev["speed2"])))
         rhs[:, 1] = dt * ((1.0 + w) * s["speed"] - w * prev["speed"]) / g.f
+    return _reference_solve(g, s, target, lead, a, rhs)
+
+
+def reference_sbdf3_update(g, s, dt, target, hist):
+    """As :func:`reference_update`, for the SBDF3 update from ``s``
+    whose history ``hist`` is ``((p, dt_p), (q, dt_q))``: its
+    predecessor ``p``, a step of ``dt_p`` back, and that one's
+    predecessor ``q``, ``dt_q`` further back."""
+    (p, dt_p), (q, dt_q) = hist
+    w = dt / dt_p
+    u = dt_q / dt_p
+    b0 = (1.0 + w) * (1.0 + w + u) / (1.0 + u)
+    b1 = -w * (1.0 + w + u) / u
+    b2 = w * (1.0 + w) / ((1.0 + u) * u)
+    lead = 1.0 + w / (1.0 + w) + w / (1.0 + w + u)
+    a = dt * (b0 / s["speed2"] + b1 / p["speed2"] + b2 / q["speed2"]) \
+        / g.dz ** 2
+    explicit = [x["local"] - x["rddot"] / x["speed2"] for x in (s, p, q)]
+    rhs = np.empty((len(s["r"]), 2), order="F")
+    rhs[:, 0] = (b0 * s["r"] + (b1 * w / (1.0 + w)) * p["r"]
+                 + (b2 * w / (1.0 + w + u)) * q["r"]
+                 + dt * (b0 * explicit[0] + b1 * explicit[1]
+                         + b2 * explicit[2]))
+    rhs[:, 1] = dt * (b0 * s["speed"] + b1 * p["speed"]
+                      + b2 * q["speed"]) / g.f
+    return _reference_solve(g, s, target, lead, a, rhs)
+
+
+def _reference_solve(g, s, target, lead, a, rhs):
     sub = -a[1:]
     sup = -a[:-1]
     sub[-1] *= 2.0
@@ -122,6 +151,25 @@ def reference_step_error(g, s, dt, r_new, prev=None, dt_prev=0.0):
     w = dt / dt_prev
     gap = r_new - s["r"] - w * (s["r"] - prev["r"])
     return dt / (dt + dt_prev) * float(np.max(np.abs(gap)))
+
+
+def reference_sbdf3_error(g, s, dt, r_new, hist):
+    """The error estimate of the SBDF3 update ``r_new`` from ``s``, whose
+    history ``hist`` lists its three predecessors, latest first, each
+    with the step from it to the state after it."""
+    (p, dt_p), (q, dt_q), (o, dt_o) = hist
+    w = dt / dt_p
+    u = dt_q / dt_p
+    v = dt_o / dt_p
+    s2 = 1.0 + w
+    s3 = s2 + u
+    s4 = s3 + v
+    gap = (r_new - (s2 * s3 * s4 / ((1.0 + u) * (1.0 + u + v))) * s["r"]
+           + (w * s3 * s4 / (u * (u + v))) * p["r"]
+           - (w * s2 * s4 / ((1.0 + u) * u * v)) * q["r"]
+           + (w * s2 * s3 / ((1.0 + u + v) * (u + v) * v)) * o["r"])
+    lead = 1.0 + w / s2 + w / s3
+    return float(np.max(np.abs(gap))) / (1.0 + lead * s4 / w)
 
 
 # One line per acceptance criterion, echoed after capture ends so the

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, output files, reproducibility."""
 
+import argparse
 import json
 import math
 
 import pytest
 
+from eqflow import cli
 from eqflow.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SINGULAR, main)
 
 STEADY_DOC = {
@@ -262,3 +264,33 @@ def test_out_of_range_samples_are_usage_errors(argv, message, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --samples" in err and message in err
+
+
+def test_the_parser_is_built_once_and_calls_the_module_command(monkeypatch,
+                                                               capsys):
+    # one parser and its five subparsers per process, and the command a
+    # subparser names is looked up on the module when main runs
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    try:
+        outs = []
+        for _ in range(2):
+            assert main(["verify-curvature", "--case", "C1",
+                         "--samples", "10"]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert len(built) == 6
+        calls = []
+        monkeypatch.setattr(cli, "cmd_verify_curvature",
+                            lambda args: calls.append(args) or 7)
+        assert main(["verify-curvature", "--case", "C1"]) == 7
+        assert len(calls) == 1 and len(built) == 6
+    finally:
+        cli.build_parser.cache_clear()

@@ -205,8 +205,9 @@ def test_fixed_dt_self_convergence_is_first_order(case):
 
 @pytest.mark.parametrize("case", list(ORDER_STARTS))
 def test_run_fixed_dt_self_convergence_is_second_order(case):
-    # run at a pinned dt: the IMEX-Euler starter, then SBDF2 steps, every
-    # one accepted; its states at T shrink 4-fold per halving of dt
+    # run at a pinned dt: the IMEX-Euler starter, two SBDF2 steps and
+    # SBDF3 steps, every one accepted; the starter's O(dt^2) local error
+    # leaves the states at T shrinking 4-fold per halving of dt
     space, prof = _order_start(case)
     T = 2e-3
     ends = []
@@ -220,6 +221,21 @@ def test_run_fixed_dt_self_convergence_is_second_order(case):
     diffs = [np.max(np.abs(b - a)) for a, b in zip(ends, ends[1:])]
     slopes = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
     assert all(1.9 <= s <= 2.1 for s in slopes), slopes
+
+
+def test_pinned_sbdf3_step_is_held_to_the_second_order_rule(monkeypatch):
+    # at dt_min an SBDF3 step that misses STEP_TOL3 is accepted when the
+    # estimate of the second-order steps is within STEP_TOL, so a pinned
+    # run reaches T wherever a run of SBDF2 steps would
+    monkeypatch.setattr(flow, "STEP_TOL3", 1e-30)
+    space, prof = _order_start("C2")
+    dt = 5e-5
+    res = run(space, prof, FlowConfig(
+        T_max=2e-3, dt=DtPolicy(dt_max=dt, dt_min=dt)))
+    assert res.termination == "reached_T"
+    assert res.steps == 40 and res.stats["rejected"] == 0
+    # the errors are read against the bound they were held to
+    assert 0.0 < res.stats["err_ratio_max"] <= 1.0
 
 
 def rough_start(N=400):
@@ -248,9 +264,9 @@ def test_run_makes_one_update_per_attempt(monkeypatch):
     assert len(calls) == res.stats["attempts"]
 
 
-def test_run_keeps_one_predecessor(monkeypatch):
-    # each state links the state it came from and cuts that one's link,
-    # so the history does not grow with the step count
+def test_run_keeps_three_predecessors(monkeypatch):
+    # each state links the state it came from and cuts the link of its
+    # third predecessor, so the history does not grow with the step count
     states = []
     full_eval = flow._full_eval
 
@@ -260,11 +276,15 @@ def test_run_keeps_one_predecessor(monkeypatch):
 
     monkeypatch.setattr(flow, "_full_eval", keeping_full_eval)
     res = run(FLAT, perturbed(), quick_config())
-    assert len(states) == res.steps + 1
+    assert len(states) == res.steps + 1 >= 5
     last = states[-1]
-    assert last.prev is states[-2] and last.prev.prev is None
+    assert last.prev is states[-2] and last.prev.prev is states[-3]
+    assert last.prev.prev.prev is states[-4]
+    assert last.prev.prev.prev.prev is None
     assert last.dt_prev == res.record.rows[-1].dt
-    assert all(s.prev is None for s in states[:-1])
+    assert [s.dt_prev for s in states[-3:-1]] == \
+        [row.dt for row in res.record.rows[-3:-1]]
+    assert all(s.prev is None for s in states[:-3])
 
 
 def test_sbdf2_keeps_dissipation_margin_on_rough_start():
@@ -289,18 +309,21 @@ def test_run_stats_count_attempts_and_dt_range():
 
 
 def test_run_stats_give_the_largest_accepted_error_ratio(monkeypatch):
-    errors = []
+    # each error is read against the bound of its own step's order
+    ratios = []
     step_error = flow._step_error
 
-    def recording(*args):
-        errors.append(step_error(*args))
-        return errors[-1]
+    def recording(g, ev, dt, r_new):
+        err = step_error(g, ev, dt, r_new)
+        third = flow._third_order(ev)
+        ratios.append(err / (flow.STEP_TOL3 if third else flow.STEP_TOL))
+        return err
 
     monkeypatch.setattr(flow, "_step_error", recording)
     res = run(FLAT, rough_start(100), FlowConfig(T_max=0.005))
-    accepted = [e for e in errors if e <= flow.STEP_TOL]
-    assert len(accepted) == res.steps < len(errors)
-    assert res.stats["err_ratio_max"] == max(accepted) / flow.STEP_TOL
+    accepted = [q for q in ratios if q <= 1.0]
+    assert len(accepted) == res.steps < len(ratios)
+    assert res.stats["err_ratio_max"] == max(accepted)
     assert 0.0 < res.stats["err_ratio_max"] <= 1.0
 
 

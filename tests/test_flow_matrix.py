@@ -7,7 +7,8 @@ the dissipation monitor checks, a short run at the default step policy
 with every monitor clean, and a run to steady.  The wide starts (r0 =
 2.5) on C2, C4 and C6 have a negative average mean curvature at t = 0.
 On C1, C2 and C6 the dissipation check must catch a decay integral off
-by 10 % at every record it checks.  Random smooth starts on C1, C2 and
+by 10 % at every record it checks, unless the scaling drops the record
+below the check's activity floor.  Random smooth starts on C1, C2 and
 C6 check the same properties on drawn shapes.
 """
 
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from eqflow import flow
 from eqflow.ambient import make_space
-from eqflow.bounds import MONITOR_DT_MAX, run_monitors
+from eqflow.bounds import DISSIPATION_FLOOR, MONITOR_DT_MAX, run_monitors
 from eqflow.curve import GraphProfile
 from eqflow.flow import FlowConfig, run, step
 from eqflow.geometry import enclosed_volume
@@ -130,7 +131,14 @@ def test_dissipation_check_fails_on_a_scaled_decay_integral(monkeypatch,
                 sp, bset, p, scaled, t, prev_area=kw["prev_area"],
                 prev_dissipation=scale * kw["prev_dissipation"],
                 dt=kw["dt"])
-            assert not report.checks["dissipation"].passed
+            mean_d = 0.5 * (scale * kw["prev_dissipation"]
+                            + scaled.dissipation)
+            if mean_d * kw["dt"] < DISSIPATION_FLOOR * scaled.area:
+                # scaled below the activity floor: not checked, so not
+                # passed either
+                assert "dissipation" not in report.checks
+            else:
+                assert not report.checks["dissipation"].passed
 
 
 # (space, slab) of the random smooth starts
